@@ -9,7 +9,9 @@ through time. Everything is float64 numpy; no autodiff framework.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,12 +51,12 @@ class Prediction:
     probabilities: np.ndarray
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5: no overflow for any input."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
@@ -64,16 +66,35 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+# Per-gate parameter names, in CAPM file order.
+_GATES = {"gru": ("z", "r", "n"), "lstm": ("i", "f", "g", "o")}
+# Column order of the fused gate arrays: sigmoid gates first, the tanh gate last.
+_FUSED_GATES = {"gru": ("z", "r", "n"), "lstm": ("i", "f", "o", "g")}
+
+
+def _param_shapes(
+    cell_type: str,
+    input_dim: int,
+    hidden_size: int,
+    dense_sizes: tuple[int, ...],
+    n_classes: int,
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every model parameter, in CAPM file order."""
+    shapes: list[tuple[str, tuple[int, ...]]] = []
+    for g in _GATES[cell_type]:
+        shapes += [
+            (f"W_{g}", (input_dim, hidden_size)),
+            (f"U_{g}", (hidden_size, hidden_size)),
+            (f"b_{g}", (hidden_size,)),
+        ]
+    widths = (hidden_size, *dense_sizes, n_classes)
+    for layer, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        shapes += [(f"D{layer}_W", (fan_in, fan_out)), (f"D{layer}_b", (fan_out,))]
+    return shapes
 
 
 class ClassifierModel:
     """Recurrent cell + dense stack with explicit parameter tensors."""
-
-    _GRU_GATES = ("z", "r", "n")
-    _LSTM_GATES = ("i", "f", "g", "o")
 
     def __init__(
         self,
@@ -106,86 +127,55 @@ class ClassifierModel:
         hidden_size: int = 20,
         dense_sizes: tuple[int, ...] = (32, 64, 32),
         n_classes: int = 10,
-        init_scheme: str = "scaled",
-        memory_horizon: int = 256,
-        dense_gain: float | None = None,
     ) -> "ClassifierModel":
-        """Seeded parameter initialization.
+        """Seeded parameter initialization, tuned so plain gradient descent at
+        small rates converges.
 
-        "scaled" (default) is tuned so plain gradient descent at small rates
-        actually converges: orthogonal recurrence, per-unit memory-gate
-        biases spread log-uniformly up to memory_horizon steps, and a relu
-        dense stack scaled above variance-preservation so the error signal
-        survives the depth. "uniform" is the plain
-        [-1/sqrt(fan_in), 1/sqrt(fan_in)] draw for every tensor, kept for
-        comparison; it stalls at chance under the reference training budget.
+        Input weights are uniform, the recurrence is orthogonal, memory-gate
+        biases spread log-uniformly over time constants up to one frame, and
+        the relu dense stack is scaled above variance-preservation so the
+        error signal survives the depth.
         """
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
-        if init_scheme not in ("scaled", "uniform"):
-            raise ModelError(f"unknown init_scheme {init_scheme!r}")
         rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        gates = cls._GRU_GATES if cell_type == "gru" else cls._LSTM_GATES
-        widths = (hidden_size, *dense_sizes, n_classes)
-
-        if init_scheme == "uniform":
-            for g in gates:
-                params[f"W_{g}"] = _uniform_init(rng, input_dim, (input_dim, hidden_size))
-                params[f"U_{g}"] = _uniform_init(rng, hidden_size, (hidden_size, hidden_size))
-                params[f"b_{g}"] = _uniform_init(rng, hidden_size, (hidden_size,))
-            for layer in range(len(widths) - 1):
-                fan_in, fan_out = widths[layer], widths[layer + 1]
-                params[f"D{layer}_W"] = _uniform_init(rng, fan_in, (fan_in, fan_out))
-                params[f"D{layer}_b"] = _uniform_init(rng, fan_in, (fan_out,))
-            return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes)
-
         input_bound = 4.0 / np.sqrt(input_dim)
-        for g in gates:
-            params[f"W_{g}"] = rng.uniform(-input_bound, input_bound, (input_dim, hidden_size))
-            q, _ = np.linalg.qr(rng.normal(size=(hidden_size, hidden_size)))
-            params[f"U_{g}"] = q
-            params[f"b_{g}"] = np.zeros(hidden_size)
-        # Memory-gate biases spread over log-spaced time constants so the
-        # final hidden state retains multi-scale history from the start.
-        horizon = max(memory_horizon, 3)
-        spread = np.exp(np.linspace(np.log(2.0), np.log(horizon), hidden_size))
+        gain = 2.0 if cell_type == "gru" else 2.5
+        params: dict[str, np.ndarray] = {}
+        for name, shape in _param_shapes(cell_type, input_dim, hidden_size, dense_sizes, n_classes):
+            if name.startswith("W_"):
+                params[name] = rng.uniform(-input_bound, input_bound, shape)
+            elif name.startswith("U_"):
+                params[name], _ = np.linalg.qr(rng.normal(size=shape))
+            elif name.startswith("b_"):
+                params[name] = np.zeros(shape)
+            elif name.endswith("_W"):
+                bound = gain * np.sqrt(6.0 / shape[0])
+                params[name] = rng.uniform(-bound, bound, shape)
+            else:
+                params[name] = np.full(shape, 0.05)
+        # Memory-gate biases spread over log-spaced time constants up to one
+        # frame, so the final hidden state retains multi-scale history from
+        # the start.
+        spread = np.exp(np.linspace(np.log(2.0), np.log(DEFAULT_FRAME_LENGTH), hidden_size))
         gate_bias = np.log(spread - 1.0 + 1e-9)
         if cell_type == "gru":
             params["b_z"] = gate_bias
         else:
             params["b_f"] = gate_bias
             params["b_i"] = -gate_bias.copy()
-        gain = dense_gain if dense_gain is not None else (2.0 if cell_type == "gru" else 2.5)
-        for layer in range(len(widths) - 1):
-            fan_in, fan_out = widths[layer], widths[layer + 1]
-            bound = gain * np.sqrt(6.0 / fan_in)
-            params[f"D{layer}_W"] = rng.uniform(-bound, bound, (fan_in, fan_out))
-            params[f"D{layer}_b"] = np.full(fan_out, 0.05)
         return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes)
 
+    def _shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        return _param_shapes(
+            self.cell_type, self.input_dim, self.hidden_size, self.dense_sizes, self.n_classes
+        )
+
     def param_order(self) -> list[str]:
-        gates = self._GRU_GATES if self.cell_type == "gru" else self._LSTM_GATES
-        order = []
-        for g in gates:
-            order += [f"W_{g}", f"U_{g}", f"b_{g}"]
-        for layer in range(len(self.dense_sizes) + 1):
-            order += [f"D{layer}_W", f"D{layer}_b"]
-        return order
+        return [name for name, _ in self._shapes()]
 
     def _check_dims(self) -> None:
-        d, h = self.input_dim, self.hidden_size
-        widths = (h, *self.dense_sizes, self.n_classes)
-        expected: dict[str, tuple[int, ...]] = {}
-        gates = self._GRU_GATES if self.cell_type == "gru" else self._LSTM_GATES
-        for g in gates:
-            expected[f"W_{g}"] = (d, h)
-            expected[f"U_{g}"] = (h, h)
-            expected[f"b_{g}"] = (h,)
-        for layer in range(len(widths) - 1):
-            expected[f"D{layer}_W"] = (widths[layer], widths[layer + 1])
-            expected[f"D{layer}_b"] = (widths[layer + 1],)
-        for name, shape in expected.items():
+        for name, shape in self._shapes():
             if name not in self.params:
                 raise ModelError(f"missing parameter {name}")
             got = self.params[name].shape
@@ -207,66 +197,54 @@ class ClassifierModel:
     # ------------------------------------------------------------------
     # forward
 
-    def _recurrent_forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        p = self.params
-        b_count, t_count, _ = x.shape
-        h = np.zeros((b_count, self.hidden_size))
+    def _fused(self, prefix: str, gates: tuple[str, ...]) -> np.ndarray:
+        return np.concatenate([self.params[f"{prefix}_{g}"] for g in gates], axis=-1)
+
+    def _recurrent_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """Run the cell over a (B, T, D) batch; returns the time-major BPTT cache.
+
+        The per-gate weights are fused on every call (never stored, so edits
+        to self.params take effect at once) into W (D, G*H), b (G*H) and
+        U (H, G*H), columns in _FUSED_GATES order, after Appleyard et al.
+        2016 (arXiv:1604.01946): one input projection per call, one recurrent
+        matmul and one sigmoid per step. The GRU keeps U_n apart because the
+        reset gate scales h before it. Cache: "act" (T, B, G*H) gate
+        activations and "hs" (T + 1, B, H) with hs[t] the state entering step
+        t; the LSTM adds the cell states "cs" (T + 1, B, H) and their tanh
+        "tcs" (T, B, H).
+        """
+        hh = self.hidden_size
+        gates = _FUSED_GATES[self.cell_type]
+        xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+        t_count, b_count, _ = xt.shape
+        # The loop overwrites the input projection with the gate activations.
+        act = xt @ self._fused("W", gates)
+        act += self._fused("b", gates)
+        hs = np.zeros((t_count + 1, b_count, hh))
+        cache = {"x": xt, "act": act, "hs": hs}
         if self.cell_type == "gru":
-            ax_z = x @ p["W_z"] + p["b_z"]
-            ax_r = x @ p["W_r"] + p["b_r"]
-            ax_n = x @ p["W_n"] + p["b_n"]
-            hs = np.empty((b_count, t_count, self.hidden_size))
-            zs = np.empty_like(hs)
-            rs = np.empty_like(hs)
-            ns = np.empty_like(hs)
+            u_zr, u_n = self._fused("U", ("z", "r")), self.params["U_n"]
+            ax_zr, ax_n = act[..., : 2 * hh], act[..., 2 * hh :]
             for t in range(t_count):
-                z = _sigmoid(ax_z[:, t] + h @ p["U_z"])
-                r = _sigmoid(ax_r[:, t] + h @ p["U_r"])
-                n = np.tanh(ax_n[:, t] + (r * h) @ p["U_n"])
-                hs[:, t] = h
-                zs[:, t] = z
-                rs[:, t] = r
-                ns[:, t] = n
-                h = (1.0 - z) * n + z * h
-            return h, {"x": x, "hs": hs, "zs": zs, "rs": rs, "ns": ns}
-        # lstm
-        ax_i = x @ p["W_i"] + p["b_i"]
-        ax_f = x @ p["W_f"] + p["b_f"]
-        ax_g = x @ p["W_g"] + p["b_g"]
-        ax_o = x @ p["W_o"] + p["b_o"]
-        c = np.zeros((b_count, self.hidden_size))
-        hs = np.empty((b_count, t_count, self.hidden_size))
-        cs_prev = np.empty_like(hs)
-        gi = np.empty_like(hs)
-        gf = np.empty_like(hs)
-        gg = np.empty_like(hs)
-        go = np.empty_like(hs)
-        tanh_cs = np.empty_like(hs)
+                h = hs[t]
+                zr = _sigmoid(ax_zr[t] + h @ u_zr)
+                z, r = zr[:, :hh], zr[:, hh:]
+                n = np.tanh(ax_n[t] + (r * h) @ u_n)
+                np.add(n, z * (h - n), out=hs[t + 1])  # (1 - z) n + z h
+                ax_zr[t], ax_n[t] = zr, n
+            return cache
+        u = self._fused("U", gates)
+        i, f, o, g = np.split(act, 4, axis=-1)
+        sig = act[..., : 3 * hh]
+        cs = cache["cs"] = np.zeros_like(hs)
+        tcs = cache["tcs"] = np.empty_like(hs[1:])
         for t in range(t_count):
-            i = _sigmoid(ax_i[:, t] + h @ p["U_i"])
-            f = _sigmoid(ax_f[:, t] + h @ p["U_f"])
-            g = np.tanh(ax_g[:, t] + h @ p["U_g"])
-            o = _sigmoid(ax_o[:, t] + h @ p["U_o"])
-            hs[:, t] = h
-            cs_prev[:, t] = c
-            c = f * c + i * g
-            tc = np.tanh(c)
-            gi[:, t] = i
-            gf[:, t] = f
-            gg[:, t] = g
-            go[:, t] = o
-            tanh_cs[:, t] = tc
-            h = o * tc
-        return h, {
-            "x": x,
-            "hs": hs,
-            "cs_prev": cs_prev,
-            "i": gi,
-            "f": gf,
-            "g": gg,
-            "o": go,
-            "tanh_cs": tanh_cs,
-        }
+            act[t] += hs[t] @ u
+            _sigmoid(sig[t], out=sig[t])
+            np.tanh(g[t], out=g[t])
+            np.add(f[t] * cs[t], i[t] * g[t], out=cs[t + 1])
+            np.multiply(o[t], np.tanh(cs[t + 1], out=tcs[t]), out=hs[t + 1])
+        return cache
 
     def _dense_forward(self, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         p = self.params
@@ -289,8 +267,7 @@ class ClassifierModel:
             raise ModelError(
                 f"input must have shape (B, T, {self.input_dim}), got {x.shape}"
             )
-        h, _ = self._recurrent_forward(x)
-        logits, _ = self._dense_forward(h)
+        logits, _ = self._dense_forward(self._recurrent_forward(x)["hs"][-1])
         probs = _softmax(logits)
         return probs[0] if single else probs
 
@@ -305,11 +282,18 @@ class ClassifierModel:
         self, x: np.ndarray, y_onehot: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean cross entropy over the batch and gradients for every parameter."""
+        loss, grads, _ = self._loss_gradients_probs(x, y_onehot)
+        return loss, grads
+
+    def _loss_gradients_probs(
+        self, x: np.ndarray, y_onehot: np.ndarray
+    ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+        """loss_and_gradients plus the batch probabilities of its one forward pass."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y_onehot, dtype=np.float64)
         b_count = x.shape[0]
-        h, cache = self._recurrent_forward(x)
-        logits, acts = self._dense_forward(h)
+        cache = self._recurrent_forward(x)
+        logits, acts = self._dense_forward(cache["hs"][-1])
         probs = _softmax(logits)
         loss = float(cross_entropy(probs, y))
 
@@ -323,99 +307,86 @@ class ClassifierModel:
             grads[f"D{layer}_b"] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ p[f"D{layer}_W"].T) * (a_in > 0.0)
-        dh = delta @ p["D0_W"].T if n_layers > 0 else delta
+        dh = delta @ p["D0_W"].T
 
-        if self.cell_type == "gru":
-            self._gru_backward(cache, dh, grads)
-        else:
-            self._lstm_backward(cache, dh, grads)
-        return loss, grads
+        backward = self._gru_backward if self.cell_type == "gru" else self._lstm_backward
+        da = backward(cache, dh, grads)
+        # W and b gradients: one reduction over all steps of the fused da.
+        gates = _FUSED_GATES[self.cell_type]
+        x2 = cache["x"].reshape(-1, self.input_dim)
+        da2 = da.reshape(-1, da.shape[-1])
+        d_w = np.split(x2.T @ da2, len(gates), axis=1)
+        d_b = np.split(da2.sum(axis=0), len(gates))
+        for g, gw, gb in zip(gates, d_w, d_b):
+            grads[f"W_{g}"], grads[f"b_{g}"] = gw, gb
+        return loss, grads, probs
 
-    def _gru_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> None:
-        p = self.params
-        x, hs, zs, rs, ns = cache["x"], cache["hs"], cache["zs"], cache["rs"], cache["ns"]
-        b_count, t_count, _ = x.shape
-        da_z = np.empty_like(hs)
-        da_r = np.empty_like(hs)
-        da_n = np.empty_like(hs)
-        u_z_t, u_r_t, u_n_t = p["U_z"].T, p["U_r"].T, p["U_n"].T
-        for t in range(t_count - 1, -1, -1):
-            z, r, n, h_prev = zs[:, t], rs[:, t], ns[:, t], hs[:, t]
-            dn = dh * (1.0 - z)
-            dz = dh * (h_prev - n)
-            dh_prev = dh * z
-            an = dn * (1.0 - n * n)
-            da_n[:, t] = an
-            d_rh = an @ u_n_t
-            dr = d_rh * h_prev
-            dh_prev += d_rh * r
-            az = dz * z * (1.0 - z)
-            da_z[:, t] = az
-            dh_prev += az @ u_z_t
-            ar = dr * r * (1.0 - r)
-            da_r[:, t] = ar
-            dh_prev += ar @ u_r_t
-            dh = dh_prev
-        x2 = x.reshape(-1, self.input_dim)
-        h2 = hs.reshape(-1, self.hidden_size)
-        rh2 = (rs * hs).reshape(-1, self.hidden_size)
-        for name, da, hin in (
-            ("z", da_z, h2),
-            ("r", da_r, h2),
-            ("n", da_n, rh2),
-        ):
-            da2 = da.reshape(-1, self.hidden_size)
-            grads[f"W_{name}"] = x2.T @ da2
-            grads[f"U_{name}"] = hin.T @ da2
-            grads[f"b_{name}"] = da2.sum(axis=0)
+    # The backward passes accumulate the U gradients step by step: each step
+    # is an (H, B) @ (B, G*H) product, far below the size at which BLAS
+    # spreads work over threads, so BPTT costs the same at any thread count.
+    # They store the U gradients in grads and return the fused pre-activation
+    # gradient da (T, B, G*H).
 
-    def _lstm_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> None:
-        p = self.params
-        x, hs = cache["x"], cache["hs"]
-        cs_prev, gi, gf, gg, go, tanh_cs = (
-            cache["cs_prev"],
-            cache["i"],
-            cache["f"],
-            cache["g"],
-            cache["o"],
-            cache["tanh_cs"],
-        )
-        b_count, t_count, _ = x.shape
-        da = {name: np.empty_like(hs) for name in ("i", "f", "g", "o")}
-        u_t = {name: p[f"U_{name}"].T for name in ("i", "f", "g", "o")}
-        dc = np.zeros((b_count, self.hidden_size))
-        for t in range(t_count - 1, -1, -1):
-            i, f, g, o, tc, c_prev, h_prev = (
-                gi[:, t],
-                gf[:, t],
-                gg[:, t],
-                go[:, t],
-                tanh_cs[:, t],
-                cs_prev[:, t],
-                hs[:, t],
-            )
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc = dc * f
-            ai = di * i * (1.0 - i)
-            af = df * f * (1.0 - f)
-            ag = dg * (1.0 - g * g)
-            ao = do * o * (1.0 - o)
-            da["i"][:, t] = ai
-            da["f"][:, t] = af
-            da["g"][:, t] = ag
-            da["o"][:, t] = ao
-            dh = ai @ u_t["i"] + af @ u_t["f"] + ag @ u_t["g"] + ao @ u_t["o"]
-        x2 = x.reshape(-1, self.input_dim)
-        h2 = hs.reshape(-1, self.hidden_size)
-        for name in ("i", "f", "g", "o"):
-            da2 = da[name].reshape(-1, self.hidden_size)
-            grads[f"W_{name}"] = x2.T @ da2
-            grads[f"U_{name}"] = h2.T @ da2
-            grads[f"b_{name}"] = da2.sum(axis=0)
+    def _gru_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> np.ndarray:
+        hh = self.hidden_size
+        hs = cache["hs"][:-1]
+        z, r, n = _split_gates(cache["act"], 3)
+        u_zr_t = self._fused("U", ("z", "r")).T
+        u_n_t = self.params["U_n"].T
+        # Step-independent factors of the pre-activation gradients.
+        k_z = (hs - n) * z * (1.0 - z)  # da_z = dh * k_z
+        k_n = (1.0 - z) * (1.0 - n * n)  # da_n = dh * k_n
+        k_r = hs * r * (1.0 - r)  # da_r = (da_n @ U_n.T) * k_r
+        rh = r * hs
+        da = np.empty_like(cache["act"])
+        d_u_zr = np.zeros((hh, 2 * hh))
+        d_u_n = np.zeros((hh, hh))
+        for t in range(len(da) - 1, -1, -1):
+            d = da[t]
+            d_zr, d_n = d[:, : 2 * hh], d[:, 2 * hh :]
+            np.multiply(dh, k_z[t], out=d[:, :hh])
+            np.multiply(dh, k_n[t], out=d_n)
+            d_rh = d_n @ u_n_t
+            np.multiply(d_rh, k_r[t], out=d[:, hh : 2 * hh])
+            d_u_zr += hs[t].T @ d_zr
+            d_u_n += rh[t].T @ d_n
+            dh = dh * z[t] + d_rh * r[t] + d_zr @ u_zr_t
+        grads["U_z"], grads["U_r"] = np.split(d_u_zr, 2, axis=1)
+        grads["U_n"] = d_u_n
+        return da
+
+    def _lstm_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> np.ndarray:
+        hh = self.hidden_size
+        hs, cs, tcs = cache["hs"][:-1], cache["cs"][:-1], cache["tcs"]
+        i, f, o, g = _split_gates(cache["act"], 4)
+        u_t = self._fused("U", _FUSED_GATES["lstm"]).T
+        # Step-independent factors of the pre-activation gradients.
+        k_c = o * (1.0 - tcs * tcs)  # dc += dh * k_c
+        k_i = g * i * (1.0 - i)  # da_i = dc * k_i
+        k_f = cs * f * (1.0 - f)  # da_f = dc * k_f
+        k_o = tcs * o * (1.0 - o)  # da_o = dh * k_o
+        k_g = i * (1.0 - g * g)  # da_g = dc * k_g
+        da = np.empty_like(cache["act"])
+        d_u = np.zeros((hh, 4 * hh))
+        dc = np.zeros_like(dh)
+        for t in range(len(da) - 1, -1, -1):
+            d = da[t]
+            dc += dh * k_c[t]
+            np.multiply(dc, k_i[t], out=d[:, :hh])
+            np.multiply(dc, k_f[t], out=d[:, hh : 2 * hh])
+            np.multiply(dh, k_o[t], out=d[:, 2 * hh : 3 * hh])
+            np.multiply(dc, k_g[t], out=d[:, 3 * hh :])
+            dc *= f[t]
+            d_u += hs[t].T @ d
+            dh = d @ u_t
+        for name, gu in zip(_FUSED_GATES["lstm"], np.split(d_u, 4, axis=1)):
+            grads[f"U_{name}"] = gu
+        return da
+
+
+def _split_gates(fused: np.ndarray, count: int) -> list[np.ndarray]:
+    """Contiguous copies of the gate column blocks of a fused (..., G*H) array."""
+    return [np.ascontiguousarray(block) for block in np.split(fused, count, axis=-1)]
 
 
 # ----------------------------------------------------------------------
@@ -464,22 +435,36 @@ def backward_and_update(
     learning_rate: float,
 ) -> float:
     """One vanilla gradient-descent step; returns the batch mean loss."""
+    loss, _ = _descent_step(model, batch_x, batch_y_onehot, learning_rate)
+    return loss
+
+
+def _descent_step(
+    model: ClassifierModel,
+    batch_x: np.ndarray,
+    batch_y_onehot: np.ndarray,
+    learning_rate: float,
+) -> tuple[float, np.ndarray]:
+    """backward_and_update, also returning the probabilities from before the step."""
     if np.asarray(batch_x).shape[0] == 0:
         raise InvalidParameterError("batch must be non-empty")
-    loss, grads = model.loss_and_gradients(batch_x, batch_y_onehot)
+    loss, grads, probs = model._loss_gradients_probs(batch_x, batch_y_onehot)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient in {name}")
         model.params[name] -= learning_rate * g
-    return loss
+    return loss, probs
 
 
 @dataclass
 class TrainHistory:
+    """Per-epoch record; epoch_seconds is wall time, validation pass included."""
+
     train_loss: list[float] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)
 
 
 def _stratified_split(
@@ -510,7 +495,7 @@ def train(
     """Train on (N, T, 4) tensors with class-id labels; fully seeded.
 
     Uses a stratified train/validation split and records per-epoch loss and
-    accuracy on both sides.
+    accuracy on both sides, and each epoch's wall time.
     """
     cfg = cfg or TrainConfig()
     tensors = np.asarray(tensors, dtype=np.float64)
@@ -540,15 +525,16 @@ def train(
     history = TrainHistory()
     n = x_train.shape[0]
     for _ in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         correct = 0
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             bx, by = x_train[sel], y_train_1h[sel]
-            probs = model.forward(bx)
+            loss, probs = _descent_step(model, bx, by, cfg.learning_rate)
+            losses.append(loss)
             correct += int((np.argmax(probs, axis=1) + 1 == y_train[sel]).sum())
-            losses.append(backward_and_update(model, bx, by, cfg.learning_rate))
         history.train_loss.append(float(np.mean(losses)))
         history.train_acc.append(correct / n)
         if y_val_1h is not None:
@@ -557,6 +543,7 @@ def train(
             history.val_acc.append(
                 float((np.argmax(val_probs, axis=1) + 1 == y_val).mean())
             )
+        history.epoch_seconds.append(time.perf_counter() - t0)
     return model, history
 
 
@@ -646,41 +633,35 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClassifierModel:
+    """Read a CAPM v1 file; raises ModelError on any malformed or cut-off file."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ModelError(f"{path}: not a capstream model file")
-    version, cell_code, input_dim, hidden, n_classes = struct.unpack_from("<IIIII", data, 4)
+
+    def unpack(fmt: str, offset: int) -> tuple[int, ...]:
+        try:
+            return struct.unpack_from(fmt, data, offset)
+        except struct.error:
+            raise ModelError(f"{path}: header cut off at byte {len(data)}") from None
+
+    version, cell_code, input_dim, hidden, n_classes = unpack("<IIIII", 4)
     if version != _FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format version {version}")
     if cell_code >= len(CELL_TYPES):
         raise ModelError(f"{path}: unknown cell code {cell_code}")
-    offset = 24
-    (n_dense,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    dense_sizes = struct.unpack_from(f"<{n_dense}I", data, offset)
-    offset += 4 * n_dense
+    (n_dense,) = unpack("<I", 24)
+    dense_sizes = unpack(f"<{n_dense}I", 28)
+    offset = 28 + 4 * n_dense
     cell_type = CELL_TYPES[cell_code]
 
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    gates = ClassifierModel._GRU_GATES if cell_type == "gru" else ClassifierModel._LSTM_GATES
-    for g in gates:
-        shapes += [
-            (f"W_{g}", (input_dim, hidden)),
-            (f"U_{g}", (hidden, hidden)),
-            (f"b_{g}", (hidden,)),
-        ]
-    widths = (hidden, *dense_sizes, n_classes)
-    for layer in range(len(widths) - 1):
-        shapes += [
-            (f"D{layer}_W", (widths[layer], widths[layer + 1])),
-            (f"D{layer}_b", (widths[layer + 1],)),
-        ]
+    shapes = _param_shapes(cell_type, input_dim, hidden, dense_sizes, n_classes)
+    expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(data) != expected:
+        raise ModelError(f"{path}: {len(data)} bytes, expected {expected} for its header")
     params: dict[str, np.ndarray] = {}
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         params[name] = block.reshape(shape).astype(np.float64)
-    if offset != len(data):
-        raise ModelError(f"{path}: trailing bytes after parameter blocks")
     return ClassifierModel(cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes)

@@ -95,7 +95,9 @@ def weighted_smoothed_difference(
 
     Output column m corresponds to raw index m + smooth_window; the factor 2
     restores the plain-difference magnitude at sensitivity 0.5, so window 1
-    with sensitivity 0.5 reproduces sequential_difference exactly.
+    with sensitivity 0.5 reproduces sequential_difference exactly. The 2 is
+    folded into the weights, not applied to the difference, so a subnormal
+    difference is not halved to zero on the way.
     """
     cfg = cfg or DspConfig()
     w = cfg.smooth_window
@@ -103,7 +105,7 @@ def weighted_smoothed_difference(
         raise InsufficientDataError(f"need at least {w + 1} samples, got {len(stream)}")
     x = stream.values
     tau = np.asarray(cfg.sensitivity, dtype=np.float64)[:, None]
-    diffs = np.abs(tau * x[:, 1:] - (1.0 - tau) * x[:, :-1]) * 2.0
+    diffs = np.abs((2.0 * tau) * x[:, 1:] - (2.0 * (1.0 - tau)) * x[:, :-1])
     if w == 1:
         smoothed = diffs
     else:
@@ -255,7 +257,10 @@ class StreamingConditioner:
 
     def __init__(self, cfg: DspConfig | None = None) -> None:
         self.cfg = cfg or DspConfig()
-        self._tau = tuple(float(t) for t in self.cfg.sensitivity)
+        # (2 tau, 2 (1 - tau)) per sensor, as in weighted_smoothed_difference.
+        self._weights = tuple(
+            (2.0 * float(t), 2.0 * (1.0 - float(t))) for t in self.cfg.sensitivity
+        )
         self._w = self.cfg.smooth_window
         self._prev: list[float] | None = None
         self._rings: list[list[float]] = [[] for _ in range(NUM_SENSORS)]
@@ -271,8 +276,8 @@ class StreamingConditioner:
         out = []
         ready = True
         for s in range(NUM_SENSORS):
-            tau = self._tau[s]
-            d = abs(tau * row[s] - (1.0 - tau) * self._prev[s]) * 2.0
+            w_new, w_old = self._weights[s]
+            d = abs(w_new * row[s] - w_old * self._prev[s])
             ring = self._rings[s]
             ring.append(d)
             if len(ring) > w:

@@ -107,9 +107,9 @@ def encode_message(msg: CommandMessage) -> str:
 
 def decode_message(line: str | bytes) -> CommandMessage:
     """Parse and validate one NDJSON line; raises ProtocolError on any defect."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="strict")
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", errors="strict")
         payload = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed message: {exc}") from None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,43 @@ class TestForward:
         assert pred.probabilities.shape == (10,)
 
 
+class TestFusedCoreParity:
+    """The fused-gate core against the step-by-step references at production size."""
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_forward_matches_reference(self, cell):
+        model = ClassifierModel.initialize(cell, seed=4)  # H=20, dense (32, 64, 32)
+        x = np.random.default_rng(6).normal(size=(10, 256, 4))
+        ref_forward = reference_gru_forward if cell == "gru" else reference_lstm_forward
+        expected = np.stack(
+            [reference_dense_softmax(model, ref_forward(model.params, xb)) for xb in x]
+        )
+        np.testing.assert_allclose(model.forward(x), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_gradient_pass_probabilities_equal_forward(self, cell):
+        model = ClassifierModel.initialize(cell, seed=4)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(10, 256, 4))
+        y = one_hot(rng.integers(1, 11, size=10), 10)
+        loss, _, probs = model._loss_gradients_probs(x, y)
+        np.testing.assert_array_equal(probs, model.forward(x))
+        assert loss == cross_entropy(probs, y)
+
+    # train_loss of this run, recorded from the per-gate implementation
+    # that preceded the fused core.
+    PER_GATE_TRAIN_LOSS = {
+        "gru": [9.382041694717962, 5.600210168820061, 3.6812550111452054],
+        "lstm": [12.07978489820955, 10.355337535111262, 8.6590980210702],
+    }
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_train_loss_matches_per_gate_core(self, cell):
+        tensors, labels = _toy_dataset(n_per_class=3, classes=10, t=32)
+        _, history = train(tensors, labels, TrainConfig(epochs=3, batch_size=10, seed=3), cell_type=cell)
+        np.testing.assert_allclose(history.train_loss, self.PER_GATE_TRAIN_LOSS[cell], rtol=1e-9)
+
+
 class TestLoss:
     def test_uniform_prediction(self):
         probs = np.full((1, 10), 0.1)
@@ -278,6 +317,13 @@ class TestTrain:
         with pytest.raises(InvalidParameterError):
             train(np.zeros((0, 8, 4)), np.zeros(0, dtype=int))
 
+    def test_epoch_seconds_per_epoch(self):
+        tensors, labels = _toy_dataset()
+        cfg = TrainConfig(epochs=3, batch_size=6, seed=2)
+        _, history = train(tensors, labels, cfg, hidden_size=4, dense_sizes=(4,))
+        assert len(history.epoch_seconds) == cfg.epochs
+        assert all(s > 0 for s in history.epoch_seconds)
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -369,5 +415,31 @@ class TestPersistence:
         save_model(model, path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises((ModelError, ValueError)):
+        with pytest.raises(ModelError):
             load_model(path)
+
+    @pytest.mark.parametrize("data", [b"CAPM\x01\x00", b"CAPM" + struct.pack("<5I", 1, 0, 4, 3, 2)])
+    def test_header_cut_off_rejected(self, tmp_path, data):
+        path = tmp_path / "m.bin"
+        path.write_bytes(data)
+        with pytest.raises(ModelError):
+            load_model(path)
+
+    def test_reads_v1_layout(self, tmp_path):
+        # Oracle: the CAPM v1 layout packed by hand. Header: magic, version,
+        # cell code, input_dim, hidden, n_classes, dense count, dense sizes
+        # (all <u4); then every parameter as row-major <f8, gates in i f g o
+        # order, then the dense layers.
+        model = _toy(cell="lstm", seed=8, hidden=3, dense=(5, 2), classes=4)
+        order = [f"{k}_{g}" for g in "ifgo" for k in "WUb"]
+        order += [f"D{layer}_{k}" for layer in range(3) for k in "Wb"]
+        blob = struct.pack("<4s8I", b"CAPM", 1, 1, 4, 3, 4, 2, 5, 2)
+        blob += b"".join(model.params[name].astype("<f8").tobytes() for name in order)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(blob)
+        loaded = load_model(path)
+        assert sorted(loaded.params) == sorted(order)
+        for name in order:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
+        save_model(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == blob

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capstream.dsp import (
@@ -78,6 +78,7 @@ class TestWeightedSmoothedDifference:
         assert out.start_index == 1
 
     @given(st.lists(st.floats(-1000, 1000), min_size=2, max_size=200))
+    @example([0.0, 5e-324])  # subnormal difference: halving it would round to 0
     @settings(max_examples=60, deadline=None)
     def test_tau_half_window_one_is_exact(self, data):
         values = _four(data)
@@ -129,6 +130,11 @@ class TestWeightedSmoothedDifference:
                 rows.append(out)
         streamed = np.asarray(rows).T
         np.testing.assert_allclose(streamed, batch.values, rtol=1e-9, atol=1e-12)
+
+    def test_streaming_keeps_subnormal_difference(self):
+        cond = StreamingConditioner(DspConfig(smooth_window=1))
+        assert cond.push([0.0] * 4) is None
+        assert cond.push([5e-324] * 4) == (5e-324,) * 4
 
     def test_literal_sum_variant_does_not_zero_idle(self):
         values = _four([10.0] * 40)

@@ -106,6 +106,10 @@ class TestWire:
         with pytest.raises(ProtocolError):
             decode_message(line)
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ProtocolError):
+            decode_message(b"\xff\xfe")
+
     def test_bytes_input(self):
         msg = CommandMessage.for_class(4, 2, 99, 0.25)
         assert decode_message(encode_message(msg).encode()) == msg
