@@ -291,7 +291,15 @@ class ClassifierModel:
         """loss_and_gradients plus the batch probabilities of its one forward pass."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y_onehot, dtype=np.float64)
+        if x.ndim != 3 or x.shape[2] != self.input_dim:
+            raise ModelError(
+                f"input must have shape (B, T, {self.input_dim}), got {x.shape}"
+            )
         b_count = x.shape[0]
+        if y.shape != (b_count, self.n_classes):
+            raise ModelError(
+                f"one-hot targets must have shape ({b_count}, {self.n_classes}), got {y.shape}"
+            )
         cache = self._recurrent_forward(x)
         logits, acts = self._dense_forward(cache["hs"][-1])
         probs = _softmax(logits)

@@ -46,8 +46,6 @@ class DetectorConfig:
     warmup_period: int = 424      # no emissions before this index (8 s)
     max_crossing_window: int = 50 # dwell above threshold considered a crisp crossing pair
     merge_policy: str = "union"
-    safety_adds_phi: bool = False # restore the +phi term in the safety recompute
-    history_capacity: int | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -65,14 +63,10 @@ class DetectorConfig:
             raise InvalidParameterError("phi must be > 0")
         if self.merge_policy not in MERGE_POLICIES:
             raise InvalidParameterError(f"merge_policy must be one of {MERGE_POLICIES}")
-        if self.history_capacity is not None and self.history_capacity < self.update_period:
-            raise InvalidParameterError("history_capacity must cover update_period")
 
     @property
     def capacity(self) -> int:
-        """Ring size per sensor; bounds memory yet always covers a legal frame."""
-        if self.history_capacity is not None:
-            return self.history_capacity
+        """History span per sensor; bounds memory yet always covers a legal frame."""
         return 2 * (self.pre_pad + self.post_pad + self.safety_period + self.update_period)
 
     @classmethod
@@ -207,16 +201,23 @@ def extract_frame(
 class AdaptiveThresholdDetector:
     """Streaming detector over conditioned samples.
 
-    Feed strictly consecutive indices through step(); a GestureFrame is
-    returned on the sample that closes a merged detection. Not safe for
-    concurrent feeds; run one instance per stream.
+    Feed strictly consecutive indices, one row at a time through step() or
+    many at once through push_block(); the two share all state and may be
+    interleaved. A GestureFrame is returned on the sample that closes a
+    merged detection. Not safe for concurrent feeds; run one instance per
+    stream.
     """
 
     def __init__(self, cfg: DetectorConfig | None = None) -> None:
         self.cfg = cfg or DetectorConfig()
         c = self.cfg
         self._cap = c.capacity
-        self._buf = [[0.0] * self._cap for _ in range(NUM_SENSORS)]
+        # History is valid for the last cap indices. The ring holds one more
+        # push_block segment (cap columns) so that writing a segment up front
+        # never overwrites a sample an event inside it may still read.
+        self._ring = 2 * self._cap
+        self._hist = np.zeros((NUM_SENSORS, self._ring))
+        self._hist_rows = list(self._hist)  # per-sensor views, for step()
         self._j: int | None = None
         self._first_j: int | None = None
         self._seen = 0
@@ -251,6 +252,34 @@ class AdaptiveThresholdDetector:
     def initialized(self) -> bool:
         return self._initialized
 
+    @property
+    def next_emit_index(self) -> int:
+        """Smallest index at which a frame could be returned.
+
+        Rows before it cannot close a frame, so a caller may buffer them and
+        feed them as one block. A frame needs a commit, which happens only at
+        a pending end, and a down crossing sets its end post_pad ahead. It is
+        merged once every open sensor closed, which an open sensor does at
+        its end at the earliest or by a safety clear, once its count of
+        samples above threshold exceeds safety_period.
+        """
+        j = self._j
+        if j is None:
+            return 0
+        c = self.cfg
+        if self._frames[0] or self._frames[1] or self._frames[2] or self._frames[3]:
+            horizon = j + 1
+        else:
+            horizon = min([j + 1 + c.post_pad] + [end for end in self._end if end])
+        for s in range(NUM_SENSORS):
+            if self._start[s] != 0:
+                close = min(
+                    self._end[s] or j + 1 + c.post_pad,
+                    j + 1 + c.safety_period - self._cnt[s],
+                )
+                horizon = max(horizon, close)
+        return horizon
+
     def sensor_state(self, sensor: int) -> SensorDetectorState:
         s = sensor - 1
         if not 0 <= s < NUM_SENSORS:
@@ -273,23 +302,27 @@ class AdaptiveThresholdDetector:
     def thresholds(self) -> np.ndarray:
         return np.asarray(self._delta, dtype=np.float64)
 
+    def _advance(self, first: int, k: int) -> None:
+        """Check that index first continues the feed and claim k indices."""
+        if self._j is None:
+            self._first_j = first
+        elif first != self._j + 1:
+            raise OrderingError(f"expected index {self._j + 1}, got {first}")
+        self._j = first + k - 1
+
+    def _first_valid(self, j: int) -> int:
+        """Oldest index still buffered once j was written."""
+        return max(j - self._cap + 1, self._first_j)
+
     def _window_lo(self, j: int, length: int) -> int | None:
         """First index of the trailing window (j-length, j], or None if evicted."""
-        first_valid = j - self._cap + 1
-        if self._first_j is not None:
-            first_valid = max(first_valid, self._first_j)
         lo = j - length + 1
-        if lo < first_valid:
-            return None
-        return lo
+        return None if lo < self._first_valid(j) else lo
 
     def _range_sum(self, s: int, lo: int, hi: int) -> float:
-        buf = self._buf[s]
-        cap = self._cap
-        total = 0.0
-        for i in range(lo, hi + 1):
-            total += buf[i % cap]
-        return total
+        # Sequential, like adding the samples one by one.
+        window = self._hist[s, np.arange(lo, hi + 1) % self._ring]
+        return float(np.add.accumulate(window)[-1])
 
     def _periodic_update(self, s: int, j: int) -> None:
         c = self.cfg
@@ -304,104 +337,217 @@ class AdaptiveThresholdDetector:
         self._isum[s] = 0.0
         self._icount[s] = 0
 
+    def _absorb_init(self, block: np.ndarray) -> None:
+        """Take up to the remaining init_period columns into the offset sums."""
+        c = self.cfg
+        seeded = np.concatenate((np.asarray(self._init_sums)[:, None], block), axis=1)
+        self._init_sums = np.add.accumulate(seeded, axis=1)[:, -1].tolist()
+        self._prev = block[:, -1].tolist()
+        self._seen += block.shape[1]
+        if self._seen >= c.init_period:
+            self._lam = [total / c.init_period for total in self._init_sums]
+            self._delta = [c.phi] * NUM_SENSORS
+            self._initialized = True
+
     def step(self, j: int, values) -> GestureFrame | None:
         """Consume one conditioned row (index j, one value per sensor)."""
-        if self._j is None:
-            self._first_j = j
-        elif j != self._j + 1:
-            raise OrderingError(f"expected index {self._j + 1}, got {j}")
-        self._j = j
-
-        cap = self._cap
-        pos = j % cap
-        c = self.cfg
-
+        self._advance(j, 1)
+        pos = j % self._ring
         if not self._initialized:
-            for s in range(NUM_SENSORS):
-                x = float(values[s])
-                self._buf[s][pos] = x
-                self._init_sums[s] += x
-                self._prev[s] = x
-            self._seen += 1
-            if self._seen >= c.init_period:
-                for s in range(NUM_SENSORS):
-                    self._lam[s] = self._init_sums[s] / c.init_period
-                    self._delta[s] = c.phi
-                self._initialized = True
+            row = [float(values[s]) for s in range(NUM_SENSORS)]
+            self._hist[:, pos] = row
+            self._absorb_init(np.asarray(row)[:, None])
             return None
-
-        p1 = c.update_period
+        hist, sample = self._hist_rows, self._sample
         for s in range(NUM_SENSORS):
             x = float(values[s])
-            self._buf[s][pos] = x
-            lam = self._lam[s]
-            cur = x - lam
-            prev = self._prev[s] - lam
-            self._prev[s] = x
-            delta = self._delta[s]
-            frame_open = self._start[s] != 0 or self._end[s] != 0
+            hist[s][pos] = x
+            sample(s, j, x)
+        if j <= self.cfg.warmup_period:
+            return None
+        return self._merge_and_emit(j)
 
-            if not frame_open:
-                self._isum[s] += x
-                self._icount[s] += 1
+    def _sample(self, s: int, j: int, x: float) -> bool:
+        """Run sensor s's state machine on sample x at index j.
 
-            if self._recovering[s]:
-                if not frame_open and j % p1 == 0:
-                    self._periodic_update(s, j)
-                    self._recovering[s] = False
-            elif cur > delta and prev < delta:
-                start = j - c.pre_pad
-                if start < 1:
-                    self.diagnostics["clamped_starts"] += 1
-                    log.debug("sensor %d: start underflow at %d, clamped", s + 1, j)
-                    start = 1
-                self._start[s] = start
-                self._upcross[s] = j
-            elif cur > delta:
-                self._cnt[s] += 1
-                if self._cnt[s] > c.safety_period:
-                    # Malfunction guard: drop the pending detection and hold
-                    # off until offset/threshold re-stabilize.
-                    lo = self._window_lo(j, p1)
-                    if lo is not None:
-                        mean = self._range_sum(s, lo, j) / p1
-                        self._delta[s] = mean - lam + (c.phi if c.safety_adds_phi else 0.0)
-                    self._cnt[s] = 0
-                    self._start[s] = 0
-                    self._end[s] = 0
-                    self._upcross[s] = 0
-                    self._recovering[s] = True
-                    self.diagnostics["safety_recomputes"] += 1
-            elif cur < delta and prev > delta:
-                if self._upcross[s] == 0:
-                    self.diagnostics["orphan_down_crossings"] += 1
-                    log.debug("sensor %d: downward crossing without start at %d", s + 1, j)
-                else:
-                    if j - self._upcross[s] > c.max_crossing_window:
-                        self.diagnostics["long_dwells"] += 1
-                        log.debug(
-                            "sensor %d: dwell %d above threshold exceeds %d",
-                            s + 1,
-                            j - self._upcross[s],
-                            c.max_crossing_window,
-                        )
-                    self._end[s] = j + c.post_pad
-                    self._cnt[s] = 0
-            elif not frame_open and j % p1 == 0:
+        Returns True when the sample changed the sensor's offset or
+        threshold, which push_block's event masks are built from.
+        """
+        c = self.cfg
+        p1 = c.update_period
+        lam = self._lam[s]
+        cur = x - lam
+        prev = self._prev[s] - lam
+        self._prev[s] = x
+        delta = self._delta[s]
+        frame_open = self._start[s] != 0 or self._end[s] != 0
+        changed = False
+
+        if not frame_open:
+            self._isum[s] += x
+            self._icount[s] += 1
+
+        if self._recovering[s]:
+            if not frame_open and j % p1 == 0:
                 self._periodic_update(s, j)
-
-            if self._end[s] == j:
-                # Commit only after warm-up; always clear so a detection
-                # closing during warm-up cannot wedge the sensor open.
-                if j > c.warmup_period and self._start[s] != 0:
-                    self._frames[s].append((self._start[s], self._end[s]))
+                self._recovering[s] = False
+                changed = True
+        elif cur > delta and prev < delta:
+            start = j - c.pre_pad
+            if start < 1:
+                self.diagnostics["clamped_starts"] += 1
+                log.debug("sensor %d: start underflow at %d, clamped", s + 1, j)
+                start = 1
+            self._start[s] = start
+            self._upcross[s] = j
+        elif cur > delta:
+            self._cnt[s] += 1
+            if self._cnt[s] > c.safety_period:
+                # Malfunction guard: drop the pending detection and hold
+                # off until offset/threshold re-stabilize.
+                lo = self._window_lo(j, p1)
+                if lo is not None:
+                    self._delta[s] = self._range_sum(s, lo, j) / p1 - lam
+                self._cnt[s] = 0
                 self._start[s] = 0
                 self._end[s] = 0
                 self._upcross[s] = 0
+                self._recovering[s] = True
+                self.diagnostics["safety_recomputes"] += 1
+                changed = True
+        elif cur < delta and prev > delta:
+            if self._upcross[s] == 0:
+                self.diagnostics["orphan_down_crossings"] += 1
+                log.debug("sensor %d: downward crossing without start at %d", s + 1, j)
+            else:
+                if j - self._upcross[s] > c.max_crossing_window:
+                    self.diagnostics["long_dwells"] += 1
+                    log.debug(
+                        "sensor %d: dwell %d above threshold exceeds %d",
+                        s + 1,
+                        j - self._upcross[s],
+                        c.max_crossing_window,
+                    )
+                self._end[s] = j + c.post_pad
+                self._cnt[s] = 0
+        elif not frame_open and j % p1 == 0:
+            self._periodic_update(s, j)
+            changed = True
 
-        if j <= c.warmup_period:
-            return None
-        return self._merge_and_emit(j)
+        if self._end[s] == j:
+            # Commit only after warm-up; always clear so a detection
+            # closing during warm-up cannot wedge the sensor open.
+            if j > c.warmup_period and self._start[s] != 0:
+                self._frames[s].append((self._start[s], self._end[s]))
+            self._start[s] = 0
+            self._end[s] = 0
+            self._upcross[s] = 0
+        return changed
+
+    def _quiet(self, s: int, xs: list[float], lo: int, hi: int) -> None:
+        """Apply samples xs[lo:hi] of sensor s, none of which is an event.
+
+        Such a sample only moves prev and, with no frame open, the offset sum,
+        which is added up one sample at a time as step() would.
+        """
+        self._prev[s] = xs[hi - 1]
+        if self._start[s] == 0 and self._end[s] == 0:
+            total = self._isum[s]
+            for x in xs[lo:hi]:
+                total += x
+            self._isum[s] = total
+            self._icount[s] += hi - lo
+
+    def push_block(self, first_index: int, values: np.ndarray) -> list[GestureFrame]:
+        """Consume conditioned rows first_index, first_index + 1, ... as columns of (4, k).
+
+        Returns the frames step() would have returned on those rows, in order.
+        """
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != NUM_SENSORS:
+            raise InvalidParameterError(f"block must have shape (4, k), got {x.shape}")
+        k = x.shape[1]
+        if k == 0:
+            return []
+        self._advance(first_index, k)
+        out: list[GestureFrame] = []
+        for lo in range(0, k, self._cap):
+            self._push_segment(first_index + lo, x[:, lo : lo + self._cap], out)
+        return out
+
+    def _push_segment(self, a: int, x: np.ndarray, out: list[GestureFrame]) -> None:
+        """push_block over at most cap columns x, the first at index a.
+
+        Between events a sample only moves prev and the offset sum, so
+        _sample runs only at event indices, in index order across sensors:
+        above threshold, a down crossing, an update index or a pending end.
+        The masks are rebuilt after a sample that changes an offset or a
+        threshold, or sets an end inside the current mask. The merge can only
+        succeed after a sensor event (a commit or a safety clear), so it too
+        runs at event indices only.
+        """
+        c = self.cfg
+        n = x.shape[1]
+        b = a + n
+        r0 = a % self._ring
+        if r0 + n <= self._ring:
+            self._hist[:, r0 : r0 + n] = x
+        else:
+            self._hist[:, np.arange(a, b) % self._ring] = x
+        # xx[:, i] is the sample at index a - 1 + i.
+        xx = np.concatenate((np.asarray(self._prev)[:, None], x), axis=1)
+        xs = x.tolist()
+        pos = a
+        if not self._initialized:
+            m = min(n, c.init_period - self._seen)
+            self._absorb_init(x[:, :m])
+            pos += m
+        done = [pos] * NUM_SENSORS  # per sensor, first index not yet applied
+        ends = self._end
+        p1 = c.update_period
+        while pos < b:
+            q = pos + (-pos) % p1  # next update index
+            hi = min(q, b - 1)
+            restart = hi + 1
+            # Column 0 is the sample before pos: the prev of the first one.
+            cur = xx[:, pos - a : hi - a + 2] - np.asarray(self._lam)[:, None]
+            delta = np.asarray(self._delta)[:, None]
+            above = cur > delta
+            if above.any():
+                ev = above[:, 1:] | ((cur[:, 1:] < delta) & above[:, :-1])
+            elif q == hi or any(pos <= end <= hi for end in ends):
+                ev = np.zeros((NUM_SENSORS, hi - pos + 1), dtype=bool)
+            else:
+                pos = restart
+                continue
+            if q == hi:
+                ev[:, -1] = True
+            for s, end in enumerate(ends):
+                if pos <= end <= hi:
+                    ev[s, end - pos] = True
+            cols = np.flatnonzero(ev.any(axis=0))
+            for col, flags in zip(cols.tolist(), ev[:, cols].T.tolist()):
+                j = pos + col
+                changed = False
+                for s in range(NUM_SENSORS):
+                    if flags[s]:
+                        if done[s] < j:
+                            self._quiet(s, xs[s], done[s] - a, j - a)
+                        end = ends[s]
+                        changed |= self._sample(s, j, xs[s][j - a])
+                        changed |= ends[s] != end and j < ends[s] <= hi
+                        done[s] = j + 1
+                if j > c.warmup_period:
+                    frame = self._merge_and_emit(j)
+                    if frame is not None:
+                        out.append(frame)
+                if changed:
+                    restart = j + 1
+                    break
+            pos = restart
+        for s in range(NUM_SENSORS):
+            if done[s] < b:
+                self._quiet(s, xs[s], done[s] - a, n)
 
     def _merge_and_emit(self, j: int) -> GestureFrame | None:
         frames = self._frames
@@ -424,48 +570,29 @@ class AdaptiveThresholdDetector:
         if end > j or start == 0 or end == 0:
             return None
         frame = GestureFrame(
-            k=self._k + 1, start=start, end=end, channels=self._slice(start, end)
+            k=self._k + 1, start=start, end=end, channels=self._slice(start, end, j)
         )
         self._k += 1
         for fs in frames:
             fs.clear()
         return frame
 
-    def _slice(self, start: int, end: int) -> np.ndarray:
-        first_valid = (self._j or 0) - self._cap + 1
-        if self._first_j is not None:
-            first_valid = max(first_valid, self._first_j)
+    def _slice(self, start: int, end: int, j: int) -> np.ndarray:
+        first_valid = self._first_valid(j)
         if start < first_valid:
             raise CapacityError(
                 f"frame [{start}, {end}] no longer buffered (history starts at {first_valid})"
             )
-        cap = self._cap
-        out = np.empty((NUM_SENSORS, end - start + 1))
-        for s in range(NUM_SENSORS):
-            buf = self._buf[s]
-            lam = self._lam[s]
-            row = out[s]
-            for i, idx in enumerate(range(start, end + 1)):
-                row[i] = buf[idx % cap] - lam
-        return out
+        cols = np.arange(start, end + 1) % self._ring
+        return self._hist[:, cols] - np.asarray(self._lam)[:, None]
 
 
 def detect_frames(
     processed: ProcessedStream, cfg: DetectorConfig | None = None
 ) -> list[GestureFrame]:
-    """Run the streaming detector over a full conditioned stream."""
+    """Run the streaming detector over a full conditioned stream, as one block."""
     det = AdaptiveThresholdDetector(cfg)
-    out: list[GestureFrame] = []
-    base = processed.start_index
-    vals = processed.values
-    cols = [vals[s].tolist() for s in range(NUM_SENSORS)]
-    c0, c1, c2, c3 = cols
-    step = det.step
-    for m in range(vals.shape[1]):
-        frame = step(base + m, (c0[m], c1[m], c2[m], c3[m]))
-        if frame is not None:
-            out.append(frame)
-    return out
+    return det.push_block(processed.start_index, processed.values)
 
 
 def run_detector(

@@ -88,6 +88,35 @@ def sequential_difference(stream: RawStream | np.ndarray) -> np.ndarray:
     return np.abs(np.diff(values.astype(np.float64), axis=-1))
 
 
+def _diff_weights(sensitivity) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sensor (2 tau, 2 (1 - tau)) as (4, 1) columns."""
+    tau = np.asarray(sensitivity, dtype=np.float64)[:, None]
+    return 2.0 * tau, 2.0 * (1.0 - tau)
+
+
+def _weighted_diffs(x: np.ndarray, w_new: np.ndarray, w_old: np.ndarray) -> np.ndarray:
+    """|w_new x[:, i+1] - w_old x[:, i]| for every consecutive pair, shape (4, n-1)."""
+    d = w_new * x[:, 1:]
+    d -= w_old * x[:, :-1]
+    return np.abs(d, out=d)
+
+
+def _moving_average(values: np.ndarray, w: int) -> np.ndarray:
+    """Mean of every w consecutive columns, summed left to right.
+
+    The sequential sum gives the same bits as adding one window at a time,
+    which is what lets the batch and the streaming conditioner agree exactly.
+    """
+    m = values.shape[1] - w + 1
+    if m <= 0:
+        return np.empty((values.shape[0], 0))
+    acc = values[:, :m].copy()
+    for i in range(1, w):
+        acc += values[:, i : i + m]
+    acc /= w
+    return acc
+
+
 def weighted_smoothed_difference(
     stream: RawStream, cfg: DspConfig | None = None
 ) -> ProcessedStream:
@@ -103,16 +132,9 @@ def weighted_smoothed_difference(
     w = cfg.smooth_window
     if len(stream) < w + 1:
         raise InsufficientDataError(f"need at least {w + 1} samples, got {len(stream)}")
-    x = stream.values
-    tau = np.asarray(cfg.sensitivity, dtype=np.float64)[:, None]
-    diffs = np.abs((2.0 * tau) * x[:, 1:] - (2.0 * (1.0 - tau)) * x[:, :-1])
-    if w == 1:
-        smoothed = diffs
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(diffs, w, axis=1)
-        smoothed = windows.sum(axis=-1) / w
+    diffs = _weighted_diffs(stream.values, *_diff_weights(cfg.sensitivity))
     return ProcessedStream(
-        sampling_rate=stream.sampling_rate, start_index=w, values=smoothed
+        sampling_rate=stream.sampling_rate, start_index=w, values=_moving_average(diffs, w)
     )
 
 
@@ -129,13 +151,8 @@ def literal_weighted_sum(stream: RawStream, cfg: DspConfig | None = None) -> Pro
     x = stream.values
     tau = np.asarray(cfg.sensitivity, dtype=np.float64)[:, None]
     mixed = tau * x[:, 1:] + (1.0 - tau) * x[:, :-1]
-    if w == 1:
-        smoothed = mixed
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(mixed, w, axis=1)
-        smoothed = windows.sum(axis=-1) / w
     return ProcessedStream(
-        sampling_rate=stream.sampling_rate, start_index=w, values=smoothed
+        sampling_rate=stream.sampling_rate, start_index=w, values=_moving_average(mixed, w)
     )
 
 
@@ -250,42 +267,70 @@ def band_statistics(
 class StreamingConditioner:
     """Streaming counterpart of weighted_smoothed_difference.
 
-    Keeps a per-sensor ring of the last smooth_window weighted differences;
-    one writer per instance. First output appears once smooth_window + 1 raw
-    rows were pushed and carries the raw index of its newest sample.
+    Carries the previous raw row and the last smooth_window - 1 weighted
+    differences per sensor; one writer per instance. push (one row) and
+    push_block (many rows) share that state and may be interleaved; both give
+    the batch output bit for bit. The first output appears once
+    smooth_window + 1 raw rows were pushed and belongs to the newest row.
     """
 
     def __init__(self, cfg: DspConfig | None = None) -> None:
         self.cfg = cfg or DspConfig()
-        # (2 tau, 2 (1 - tau)) per sensor, as in weighted_smoothed_difference.
-        self._weights = tuple(
-            (2.0 * float(t), 2.0 * (1.0 - float(t))) for t in self.cfg.sensitivity
-        )
+        self._w_new, self._w_old = _diff_weights(self.cfg.sensitivity)
+        self._weights = tuple(zip(self._w_new[:, 0].tolist(), self._w_old[:, 0].tolist()))
         self._w = self.cfg.smooth_window
         self._prev: list[float] | None = None
-        self._rings: list[list[float]] = [[] for _ in range(NUM_SENSORS)]
-        self._count = 0
+        # Per sensor, oldest first; shorter than w - 1 only while priming.
+        self._tail: list[list[float]] = [[] for _ in range(NUM_SENSORS)]
 
     def push(self, row: Sequence[float]) -> tuple[float, ...] | None:
         """Feed one raw row (v1..v4); returns the processed row or None while priming."""
         if self._prev is None:
             self._prev = [float(v) for v in row]
-            self._count = 1
             return None
         w = self._w
+        keep = w - 1
         out = []
-        ready = True
         for s in range(NUM_SENSORS):
             w_new, w_old = self._weights[s]
-            d = abs(w_new * row[s] - w_old * self._prev[s])
-            ring = self._rings[s]
-            ring.append(d)
-            if len(ring) > w:
-                ring.pop(0)
-            if len(ring) < w:
-                ready = False
-            else:
-                out.append(sum(ring) / w)
-            self._prev[s] = float(row[s])
-        self._count += 1
-        return tuple(out) if ready else None
+            x = float(row[s])
+            d = abs(w_new * x - w_old * self._prev[s])
+            self._prev[s] = x
+            tail = self._tail[s]
+            if len(tail) < keep:
+                tail.append(d)
+                continue
+            # Added one by one, as the batch kernel does: from Python 3.12,
+            # sum() of floats compensates rounding and would part from it.
+            acc = 0.0
+            for v in tail:
+                acc += v
+            out.append((acc + d) / w)
+            if keep:
+                del tail[0]
+                tail.append(d)
+        return tuple(out) if len(out) == NUM_SENSORS else None
+
+    def push_block(self, values: np.ndarray) -> np.ndarray:
+        """Feed raw rows as columns of a (4, k) array.
+
+        Returns the processed columns, shape (4, m): one per pushed row past
+        priming, so they belong to the last m rows of the block.
+        """
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != NUM_SENSORS:
+            raise InvalidParameterError(f"block must have shape (4, k), got {x.shape}")
+        if x.shape[1] == 0:
+            return np.empty((NUM_SENSORS, 0))
+        if self._prev is None:
+            self._prev = x[:, 0].tolist()
+            x = x[:, 1:]
+        seq = np.concatenate((np.asarray(self._prev)[:, None], x), axis=1)
+        diffs = np.concatenate(
+            (np.asarray(self._tail, dtype=np.float64).reshape(NUM_SENSORS, -1),
+             _weighted_diffs(seq, self._w_new, self._w_old)),
+            axis=1,
+        )
+        self._prev = seq[:, -1].tolist()
+        self._tail = diffs[:, diffs.shape[1] - min(self._w - 1, diffs.shape[1]) :].tolist()
+        return _moving_average(diffs, self._w)

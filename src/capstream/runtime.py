@@ -8,6 +8,7 @@ them to the log sink, so classification results survive peer loss.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import socket
 import threading
@@ -15,6 +16,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, IO, Iterator
+
+import numpy as np
 
 from .classifier import ClassifierModel, frame_to_tensor
 from .detector import AdaptiveThresholdDetector, DetectorConfig
@@ -27,6 +30,9 @@ from .storage import load_recording
 log = logging.getLogger(__name__)
 
 PACING_MODES = ("unpaced", "realtime")
+
+# How often a worker blocked on a queue looks at the stop event.
+_POLL_S = 0.05
 
 __all__ = [
     "FileReplaySource",
@@ -68,8 +74,10 @@ class FileReplaySource:
 
     def rows(self) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
         if self.pacing == "unpaced":
-            yield from self.stream.rows()
-            return
+            return self.stream.rows()
+        return self._paced_rows()
+
+    def _paced_rows(self) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
         period = 1.0 / self.stream.sampling_rate
         start = time.monotonic()
         for i, row in self.stream.rows():
@@ -86,7 +94,8 @@ class LiveByteSource:
     """Parses ASCII lines ``index,v1,v2,v3,v4`` from a byte stream.
 
     This is the wire shape a microcontroller bridge writes; blank lines are
-    skipped, malformed lines are logged and dropped.
+    skipped, malformed lines and lines with a non-finite value (nan, inf) are
+    logged and dropped.
     """
 
     def __init__(self, reader: IO[bytes], sampling_rate: float = 53.0) -> None:
@@ -107,6 +116,9 @@ class LiveByteSource:
                 vals = tuple(float(p) for p in parts[1:])
             except ValueError:
                 log.warning("live source: dropped unparsable line %r", raw[:60])
+                continue
+            if not all(math.isfinite(v) for v in vals):
+                log.warning("live source: dropped non-finite line %r", raw[:60])
                 continue
             yield idx, vals
 
@@ -198,6 +210,10 @@ class _Emitter:
             self._log_fh = None
 
 
+class _Stopped(Exception):
+    """A worker gave up because another one failed."""
+
+
 def run_pipeline(
     source: FileReplaySource | LiveByteSource,
     cfg: PipelineConfig,
@@ -206,65 +222,100 @@ def run_pipeline(
     """Drive source -> conditioning+detection -> classification -> emission.
 
     Stages run as independent workers over bounded FIFO queues; a full queue
-    throttles the upstream stage rather than dropping samples. Returns once
-    the source ends and the emitter has flushed.
+    throttles the upstream stage rather than dropping samples. The detect
+    worker buffers rows up to the detector's next_emit_index and feeds them
+    as one block, so no frame is held past the row that closes it. Returns
+    once the source ends and the emitter has flushed; the first error of any
+    stage stops every worker and is raised here.
     """
     rate = source.sampling_rate
     capacity = cfg.capacity_for(rate)
     frame_q: queue.Queue = queue.Queue(maxsize=capacity)
     msg_q: queue.Queue = queue.Queue(maxsize=capacity)
+    stop = threading.Event()
     t_start = time.monotonic()
     samples = 0
     frames = 0
+    delivered = 0
     max_latency = 0.0
     messages: list[CommandMessage] = []
     errors: list[BaseException] = []
 
+    def put(q: queue.Queue, item) -> None:
+        while not stop.is_set():
+            try:
+                q.put(item, timeout=_POLL_S)
+                return
+            except queue.Full:
+                pass
+        raise _Stopped
+
+    def get(q: queue.Queue):
+        while not stop.is_set():
+            try:
+                return q.get(timeout=_POLL_S)
+            except queue.Empty:
+                pass
+        raise _Stopped
+
     def detect_worker() -> None:
-        nonlocal samples
         conditioner = StreamingConditioner(cfg.dsp)
         detector = AdaptiveThresholdDetector(cfg.detector)
-        try:
-            for idx, row in source.rows():
-                samples += 1
-                processed = conditioner.push(row)
-                if processed is None:
-                    continue
-                frame = detector.step(idx, processed)
-                if frame is not None:
-                    frame_q.put((frame, time.monotonic()))
-        except BaseException as exc:  # propagate to the main thread
-            errors.append(exc)
-        finally:
-            frame_q.put(None)
+        rows: list = []  # flat raw rows expected - len(rows) // 4 .. expected - 1
+        expected = None
+        horizon = detector.next_emit_index
+
+        def flush() -> None:
+            nonlocal samples, horizon
+            block = np.array(rows, dtype=np.float64).reshape(-1, NUM_SENSORS).T
+            processed = conditioner.push_block(block)
+            samples += block.shape[1]
+            rows.clear()
+            # The processed columns belong to the last rows of the block.
+            for frame in detector.push_block(expected - processed.shape[1], processed):
+                put(frame_q, (frame, time.monotonic()))
+            horizon = detector.next_emit_index
+            if stop.is_set():
+                raise _Stopped
+
+        for idx, row in source.rows():
+            if idx != expected and expected is not None:
+                # A gap: feed what is buffered, then the stray row on its
+                # own, so the detector reports it as a per-row feed would.
+                if rows:
+                    flush()
+                horizon = idx
+            rows.extend(row)
+            expected = idx + 1
+            if idx >= horizon:
+                flush()
+        if rows:
+            flush()
+        put(frame_q, None)
 
     def classify_worker() -> None:
-        try:
-            while True:
-                item = frame_q.get()
-                if item is None:
-                    break
-                frame, t_emit = item
-                pred = model.predict(frame_to_tensor(frame))
-                timestamp_ms = int(round(frame.end / rate * 1000.0))
-                msg = CommandMessage.for_class(
-                    class_id=pred.class_id,
-                    frame_index=frame.k,
-                    timestamp_ms=timestamp_ms,
-                    probability=float(pred.probabilities.max()),
-                )
-                msg_q.put((msg, t_emit))
-        except BaseException as exc:
-            errors.append(exc)
-        finally:
-            msg_q.put(None)
+        while True:
+            item = get(frame_q)
+            if item is None:
+                break
+            frame, t_emit = item
+            pred = model.predict(frame_to_tensor(frame))
+            timestamp_ms = int(round(frame.end / rate * 1000.0))
+            msg = CommandMessage.for_class(
+                class_id=pred.class_id,
+                frame_index=frame.k,
+                timestamp_ms=timestamp_ms,
+                probability=float(pred.probabilities.max()),
+            )
+            put(msg_q, (msg, t_emit))
+        put(msg_q, None)
 
     def emit_worker() -> None:
-        nonlocal frames, max_latency
+        nonlocal frames, delivered, max_latency
         emitter = _Emitter(cfg)
         try:
             while True:
-                item = msg_q.get()
+                item = get(msg_q)
                 if item is None:
                     break
                 msg, t_emit = item
@@ -272,15 +323,31 @@ def run_pipeline(
                 frames += 1
                 messages.append(msg)
                 max_latency = max(max_latency, (time.monotonic() - t_emit) * 1000.0)
-        except BaseException as exc:
-            errors.append(exc)
         finally:
+            delivered = emitter.delivered
             emitter.close()
 
+    def guarded(work: Callable[[], None]) -> Callable[[], None]:
+        def run() -> None:
+            try:
+                work()
+            except _Stopped:
+                pass
+            except BaseException as exc:  # the first one is raised by run_pipeline
+                errors.append(exc)
+                stop.set()
+
+        return run
+
+    # Daemon threads: a worker stuck in a source read cannot keep the
+    # process alive once the caller has gone.
     workers = [
-        threading.Thread(target=detect_worker, name="capstream-detect"),
-        threading.Thread(target=classify_worker, name="capstream-classify"),
-        threading.Thread(target=emit_worker, name="capstream-emit"),
+        threading.Thread(target=guarded(work), name=f"capstream-{name}", daemon=True)
+        for name, work in (
+            ("detect", detect_worker),
+            ("classify", classify_worker),
+            ("emit", emit_worker),
+        )
     ]
     for w in workers:
         w.start()
@@ -289,7 +356,6 @@ def run_pipeline(
     if errors:
         raise errors[0]
     wall = time.monotonic() - t_start
-    delivered = 0 if cfg.socket_addr is None else frames
     log.info(
         "pipeline done: %d samples, %d frames, %.2fs wall, max latency %.1f ms",
         samples,

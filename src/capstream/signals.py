@@ -5,6 +5,7 @@ Sensor channels are numbered 1..4 (the physical plate ids); array axes are
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 NUM_SENSORS = 4
+_ROWS_CHUNK = 4096  # columns converted per step of RawStream.rows
 SENSOR_IDS: tuple[int, int, int, int] = (1, 2, 3, 4)
 
 # A sensor id is a plain int in SENSOR_IDS.
@@ -70,8 +72,12 @@ class RawStream:
     def rows(self) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
         """Yield (index, (v1, v2, v3, v4)) in stream order."""
         v = self.values
-        for i in range(v.shape[1]):
-            yield i, (float(v[0, i]), float(v[1, i]), float(v[2, i]), float(v[3, i]))
+        # Converts a bounded chunk at a time: fast, without a second copy of
+        # the whole stream as Python floats.
+        return itertools.chain.from_iterable(
+            enumerate(zip(*v[:, lo : lo + _ROWS_CHUNK].tolist()), start=lo)
+            for lo in range(0, v.shape[1], _ROWS_CHUNK)
+        )
 
 
 @dataclass

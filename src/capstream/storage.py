@@ -52,7 +52,14 @@ def load_recording(path: str | Path, sampling_rate: float | None = None) -> RawS
         for line in reader:
             if not line:
                 continue
-            rows.append([float(v) for v in line[1 : 1 + NUM_SENSORS]])
+            if len(line) < 1 + NUM_SENSORS:
+                raise InvalidParameterError(
+                    f"{path}:{reader.line_num}: expected {1 + NUM_SENSORS} cells, got {len(line)}"
+                )
+            try:
+                rows.append([float(v) for v in line[1 : 1 + NUM_SENSORS]])
+            except ValueError as exc:
+                raise InvalidParameterError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InvalidParameterError(f"{path}: recording holds no samples")
     return RawStream(sampling_rate=sampling_rate, values=np.asarray(rows).T)

@@ -251,6 +251,25 @@ class TestBackward:
         with pytest.raises(InvalidParameterError):
             backward_and_update(model, np.zeros((0, 5, 4)), np.zeros((0, 2)), 0.1)
 
+    def test_target_rows_must_match_batch(self):
+        # A single target row must not be broadcast over a batch of two.
+        model = _toy()
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(ModelError, match="one-hot"):
+            backward_and_update(model, np.zeros((2, 5, 4)), one_hot(np.array([1]), 2), 0.1)
+        with pytest.raises(ModelError, match="one-hot"):
+            model.loss_and_gradients(np.zeros((2, 5, 4)), one_hot(np.array([1]), 2))
+        for k in before:
+            np.testing.assert_array_equal(model.params[k], before[k])
+
+    def test_channel_count_must_match_input_dim(self):
+        model = _toy()
+        y = one_hot(np.array([1, 2]), 2)
+        with pytest.raises(ModelError, match="input must have shape"):
+            backward_and_update(model, np.zeros((2, 5, 3)), y, 0.1)
+        with pytest.raises(ModelError, match="input must have shape"):
+            model.loss_and_gradients(np.zeros((2, 5, 3)), y)
+
     def test_nonfinite_gradient_raises(self):
         model = _toy()
         model.params["D0_W"][:] = 1e308  # forces inf activations downstream

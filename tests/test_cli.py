@@ -92,6 +92,16 @@ class TestDetect:
         assert code == EXIT_IO
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["1,1,x,3,4", "1,1,2"])
+    def test_malformed_recording_is_config_error(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"index,s1,s2,s3,s4\n0,1,2,3,4\n{row}\n")
+        code = main(["detect", str(bad), "--out-dir", str(tmp_path / "frames")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv:3" in err
+        assert "Traceback" not in err
+
     def test_detect_emits_frames_and_index(self, session_dir, tmp_path):
         frames_dir = tmp_path / "frames"
         code = main(["detect", str(session_dir / "session.csv"), "--out-dir", str(frames_dir)])

@@ -9,6 +9,7 @@ from capstream.detector import (
     AdaptiveThresholdDetector,
     DetectorConfig,
     GestureFrame,
+    detect_frames,
     extract_frame,
     initialize_offsets,
     run_detector,
@@ -21,8 +22,9 @@ from capstream.errors import (
     InvalidParameterError,
     OrderingError,
 )
-from capstream.signals import ProcessedStream
-from capstream.simulate import generate_idle
+from capstream.signals import ProcessedStream, RawStream
+from capstream.simulate import generate_idle, generate_session
+from reference_detector import reference_frames
 
 
 def _drive(det: AdaptiveThresholdDetector, trace, start_index: int = 0):
@@ -341,3 +343,123 @@ class TestIdleZeroSetting:
             window = processed.values[:, lo : j - base + 1]
             gap = np.abs(window.mean(axis=1) - lam)
             assert np.all(gap <= 0.05 * params.idle_sigma)
+
+
+def _frames_equal(got, ref):
+    assert [(f.k, f.start, f.end) for f in got] == [(f.k, f.start, f.end) for f in ref]
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a.channels, b.channels)
+
+
+def _safety_session():
+    """Seed 2024 with a contact ramp on sensor 1 long enough to force a safety recompute."""
+    rec = generate_session(seed=2024, n_per_class=30, sampling_rate=53.0)
+    values = rec.stream.values.copy()
+    ramp = 50.0 * np.arange(400)
+    values[0, 20_000:20_400] += ramp
+    values[0, 20_400:] += ramp[-1] + 50.0
+    return RawStream(sampling_rate=53.0, values=values)
+
+
+_PARITY_CASES = {
+    "seed2024": lambda: generate_session(seed=2024, n_per_class=30, sampling_rate=53.0).stream,
+    "seed7": lambda: generate_session(seed=7, n_per_class=30, sampling_rate=53.0).stream,
+    "safety": _safety_session,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_PARITY_CASES))
+def parity_case(request):
+    """A conditioned 300-gesture session and the frozen per-sample detector's output."""
+    processed = weighted_smoothed_difference(_PARITY_CASES[request.param]())
+    frames, diagnostics = reference_frames(processed.start_index, processed.values)
+    if request.param == "safety":
+        assert diagnostics["safety_recomputes"] >= 1
+    return processed, frames, diagnostics
+
+
+class TestBlockParity:
+    """step, push_block and detect_frames against the frozen per-sample detector."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 71, 318, None])
+    def test_push_block_matches_reference(self, parity_case, chunk):
+        processed, ref, ref_diag = parity_case
+        det = AdaptiveThresholdDetector()
+        n = processed.values.shape[1]
+        chunk = chunk or n
+        got = []
+        for lo in range(0, n, chunk):
+            got += det.push_block(processed.start_index + lo, processed.values[:, lo : lo + chunk])
+        _frames_equal(got, ref)
+        assert det.diagnostics == ref_diag
+
+    def test_detect_frames_matches_reference(self, parity_case):
+        processed, ref, _ = parity_case
+        _frames_equal(detect_frames(processed), ref)
+
+    def test_step_and_interleaved_blocks_match_reference(self, parity_case):
+        processed, ref, ref_diag = parity_case
+        det = AdaptiveThresholdDetector()
+        values, base = processed.values, processed.start_index
+        rng = np.random.default_rng(3)
+        got, m = [], 0
+        while m < values.shape[1]:
+            if rng.random() < 0.5:
+                frame = det.step(base + m, values[:, m].tolist())
+                got += [frame] if frame is not None else []
+                m += 1
+            else:
+                k = int(rng.integers(2, 400))
+                got += det.push_block(base + m, values[:, m : m + k])
+                m += k
+        _frames_equal(got, ref)
+        assert det.diagnostics == ref_diag
+
+    def test_no_frame_before_next_emit_index(self, parity_case):
+        processed, ref, _ = parity_case
+        det = AdaptiveThresholdDetector()
+        returned_at = []
+        for m in range(processed.values.shape[1]):
+            j = processed.start_index + m
+            horizon = det.next_emit_index
+            frame = det.step(j, processed.values[:, m])
+            if frame is not None:
+                assert j >= horizon
+                returned_at.append(j)
+        # Each frame is returned on the row that closes it.
+        assert returned_at == [f.end for f in ref]
+
+    def test_paper_literal_merge_matches_reference(self, parity_case):
+        processed, _, _ = parity_case
+        cfg = DetectorConfig(merge_policy="paper-literal")
+        ref, ref_diag = reference_frames(processed.start_index, processed.values, cfg)
+        det = AdaptiveThresholdDetector(cfg)
+        _frames_equal(det.push_block(processed.start_index, processed.values), ref)
+        assert det.diagnostics == ref_diag
+
+
+class TestPushBlock:
+    def test_gap_between_blocks_rejected(self):
+        det = AdaptiveThresholdDetector(DetectorConfig(init_period=10))
+        det.push_block(0, np.zeros((4, 5)))
+        with pytest.raises(OrderingError, match="expected index 5, got 6"):
+            det.push_block(6, np.zeros((4, 3)))
+        assert det.push_block(5, np.zeros((4, 0))) == []
+
+    def test_wrong_shape_rejected(self):
+        det = AdaptiveThresholdDetector()
+        with pytest.raises(InvalidParameterError):
+            det.push_block(0, np.zeros((3, 5)))
+
+    def test_next_emit_index_tracks_pending_end(self):
+        cfg = DetectorConfig(init_period=200)
+        det = AdaptiveThresholdDetector(cfg)
+        trace = _pulse_trace()  # up-crossing at 500, down-crossing at 560
+        assert det.next_emit_index == 0
+        det.push_block(0, trace[:, :500])
+        assert det.next_emit_index == 500 + cfg.post_pad
+        det.push_block(500, trace[:, 500:561])
+        assert det.next_emit_index == 560 + cfg.post_pad
+        assert det.push_block(561, trace[:, 561:630]) == []
+        frames = det.push_block(630, trace[:, 630:631])
+        assert [(f.start, f.end) for f in frames] == [(430, 630)]

@@ -131,6 +131,46 @@ class TestWeightedSmoothedDifference:
         streamed = np.asarray(rows).T
         np.testing.assert_allclose(streamed, batch.values, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_batch_and_block_streaming_are_bit_identical(self, window):
+        # The batch output must equal the sliding-window formula it replaced,
+        # and any interleaving of push and push_block must reproduce it bit
+        # for bit.
+        rng = np.random.default_rng(7)
+        values = rng.normal(50, 8, size=(4, 700)) * rng.random((4, 700))
+        cfg = DspConfig(sensitivity=(0.6, 0.5, 0.4, 0.5), smooth_window=window)
+        tau = np.asarray(cfg.sensitivity)[:, None]
+        diffs = np.abs((2.0 * tau) * values[:, 1:] - (2.0 * (1.0 - tau)) * values[:, :-1])
+        windows = np.lib.stride_tricks.sliding_window_view(diffs, window, axis=1)
+        formula = windows.sum(axis=-1) / window
+        batch = weighted_smoothed_difference(_stream(values), cfg).values
+        np.testing.assert_array_equal(batch, formula)
+        for seed in range(3):
+            pick = np.random.default_rng(seed)
+            cond = StreamingConditioner(cfg)
+            parts, i = [], 0
+            while i < values.shape[1]:
+                if pick.random() < 0.3:
+                    out = cond.push(values[:, i])
+                    i += 1
+                    if out is not None:
+                        parts.append(np.asarray(out)[:, None])
+                else:
+                    k = int(pick.choice([1, 2, 7, 71, 318]))
+                    block = cond.push_block(values[:, i : i + k])
+                    assert block.shape == (4, block.shape[1])
+                    parts.append(block)
+                    i += k
+            np.testing.assert_array_equal(np.concatenate(parts, axis=1), batch)
+
+    def test_push_block_output_belongs_to_the_last_rows(self):
+        cond = StreamingConditioner(DspConfig(smooth_window=5))
+        assert cond.push_block(np.zeros((4, 0))).shape == (4, 0)
+        assert cond.push_block(np.zeros((4, 4))).shape == (4, 0)
+        assert cond.push_block(np.ones((4, 3))).shape == (4, 2)
+        with pytest.raises(InvalidParameterError):
+            cond.push_block(np.zeros((3, 5)))
+
     def test_streaming_keeps_subnormal_difference(self):
         cond = StreamingConditioner(DspConfig(smooth_window=1))
         assert cond.push([0.0] * 4) is None

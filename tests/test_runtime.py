@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import sys
 import threading
 import time
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from capstream.classifier import ClassifierModel
-from capstream.errors import InvalidParameterError
+from capstream.detector import AdaptiveThresholdDetector, run_detector
+from capstream.dsp import StreamingConditioner
+from capstream.errors import InvalidParameterError, OrderingError
 from capstream.protocol import COMMANDS
 from capstream.runtime import (
     FileReplaySource,
@@ -73,7 +76,10 @@ class TestSources:
             FileReplaySource.from_stream(stream, pacing="warp")
 
     def test_live_byte_source_parses_and_skips_garbage(self):
-        payload = b"0,1.0,2.0,3.0,4.0\n\nnot,a,row\n1,5,6,7,8\n2,9,10,11,oops\n"
+        payload = (
+            b"0,1.0,2.0,3.0,4.0\n\nnot,a,row\n1,5,6,7,8\n2,9,10,11,oops\n"
+            b"3,nan,1,2,3\n4,1,inf,2,3\n5,1,2,-inf,3\n6,1,2,3,NaN\n"
+        )
         src = LiveByteSource(io.BytesIO(payload))
         rows = list(src.rows())
         assert rows == [(0, (1.0, 2.0, 3.0, 4.0)), (1, (5.0, 6.0, 7.0, 8.0))]
@@ -123,6 +129,7 @@ class TestPipeline:
         assert not thread.is_alive()
         received = out["messages"]
         assert [m.frame_index for m in received] == [m.frame_index for m in result.messages]
+        assert result.socket_delivered == result.frames
         assert all(m.command == COMMANDS[m.class_id] for m in received)
 
     def test_consume_prints_label_and_command(self, short_session, plumbing_model):
@@ -167,3 +174,138 @@ class TestPipeline:
         thread.join(timeout=10)
         assert len(out["messages"]) == 1
         assert out["messages"][0].class_id == 3
+
+
+def _run_with_deadline(fn, seconds):
+    """Run fn in a thread; a hang fails the test instead of blocking the suite."""
+    out: dict = {}
+
+    def worker():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # handed to the test
+            out["error"] = exc
+
+    thread = threading.Thread(target=worker, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return out
+
+
+class _FailingModel:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def predict(self, tensor):
+        self.calls += 1
+        raise RuntimeError("classifier broke")
+
+
+class TestPipelineFailures:
+    def test_classifier_error_with_full_queue_ends_the_run(self, session_10):
+        model = _FailingModel()
+        src = FileReplaySource.from_stream(session_10.stream, pacing="unpaced")
+        out = _run_with_deadline(
+            lambda: run_pipeline(src, PipelineConfig(queue_capacity=2), model), 10.0
+        )
+        assert isinstance(out.get("error"), RuntimeError)
+        assert str(out["error"]) == "classifier broke"
+        assert model.calls == 1
+
+    def test_socket_delivered_counts_only_delivered_messages(self, short_session, plumbing_model):
+        import socket as socket_module
+
+        with socket_module.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The port is closed now: every connect is refused.
+        src = FileReplaySource.from_stream(short_session.stream, pacing="unpaced")
+        cfg = PipelineConfig(
+            socket_addr=("127.0.0.1", port), connect_attempts=1, connect_backoff_s=0.01
+        )
+        result = run_pipeline(src, cfg, plumbing_model)
+        assert result.frames > 0
+        assert result.socket_delivered == 0
+
+    def test_gap_raises_the_per_row_ordering_error(self, short_session, plumbing_model):
+        rows = list(short_session.stream.rows())
+        rows = rows[:1000] + rows[1100:]
+        # The message a per-row feed of conditioner and detector gives.
+        cond, det = StreamingConditioner(), AdaptiveThresholdDetector()
+        with pytest.raises(OrderingError) as per_row:
+            for idx, row in rows:
+                processed = cond.push(row)
+                if processed is not None:
+                    det.step(idx, processed)
+
+        class GapSource:
+            sampling_rate = 53.0
+
+            def rows(self):
+                return iter(rows)
+
+        with pytest.raises(OrderingError) as piped:
+            run_pipeline(GapSource(), PipelineConfig(), plumbing_model)
+        assert str(piped.value) == str(per_row.value) == "expected index 1000, got 1100"
+
+
+class TestEmitHorizon:
+    def test_no_frame_is_held_past_its_closing_row(self, session_10, plumbing_model):
+        """After yielding a frame's end row, the source waits for its prediction.
+
+        If the pipeline buffered that row instead of feeding it to the
+        detector, the prediction could not come and the wait would time out.
+        """
+        ends = [f.end for f in run_detector(session_10.stream)]
+        predicted = threading.Condition()
+        calls = [0]
+        timeouts: list[int] = []
+
+        class CountingModel:
+            def predict(self, tensor):
+                pred = plumbing_model.predict(tensor)
+                with predicted:
+                    calls[0] += 1
+                    predicted.notify_all()
+                return pred
+
+        class PausingSource:
+            sampling_rate = 53.0
+
+            def rows(self):
+                for idx, row in session_10.stream.rows():
+                    yield idx, row
+                    if idx in ends:
+                        k = ends.index(idx) + 1
+                        with predicted:
+                            if not predicted.wait_for(lambda: calls[0] >= k, timeout=5.0):
+                                timeouts.append(idx)
+
+        out = _run_with_deadline(
+            lambda: run_pipeline(PausingSource(), PipelineConfig(), CountingModel()), 60.0
+        )
+        assert "error" not in out, out.get("error")
+        assert timeouts == []
+        assert [m.frame_index for m in out["result"].messages] == list(range(1, len(ends) + 1))
+
+
+class TestPipelineStress:
+    def test_frames_survive_frequent_thread_switches(self, session_10, plumbing_model):
+        # With the interpreter switching threads every 10 us, every frame
+        # still arrives once, in order, as the batch detector finds it.
+        expected = [(f.k, f.end) for f in run_detector(session_10.stream)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            src = FileReplaySource.from_stream(session_10.stream, pacing="unpaced")
+            out = _run_with_deadline(
+                lambda: run_pipeline(src, PipelineConfig(queue_capacity=2), plumbing_model), 60.0
+            )
+        finally:
+            sys.setswitchinterval(old)
+        result = out["result"]
+        assert result.samples == len(session_10.stream)
+        assert [(m.frame_index, m.timestamp_ms) for m in result.messages] == [
+            (k, int(round(end / 53.0 * 1000.0))) for k, end in expected
+        ]

@@ -46,6 +46,18 @@ class TestRecordingRoundTrip:
         with pytest.raises(InvalidParameterError):
             load_recording(bad, sampling_rate=53.0)
 
+    def test_non_numeric_cell_names_path_and_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("index,s1,s2,s3,s4\n0,1,2,3,4\n1,1,oops,3,4\n")
+        with pytest.raises(InvalidParameterError, match=r"bad\.csv:3: .*oops"):
+            load_recording(bad, sampling_rate=53.0)
+
+    def test_short_row_names_path_and_line(self, tmp_path):
+        bad = tmp_path / "short.csv"
+        bad.write_text("index,s1,s2,s3,s4\n0,1,2,3,4\n\n2,1,2\n")
+        with pytest.raises(InvalidParameterError, match=r"short\.csv:4: expected 5 cells, got 3"):
+            load_recording(bad, sampling_rate=53.0)
+
     def test_rate_from_manifest(self, tmp_path, params):
         rec = generate_gesture(3, 1, params, sampling_rate=76.5)
         path = tmp_path / "rec.csv"
