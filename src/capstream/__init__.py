@@ -10,13 +10,12 @@ from .classifier import (
     save_model,
     train,
 )
-from .dataset import dataset_tensors, detector_frames, truth_frames
+from .dataset import dataset_tensors, truth_frames
 from .detector import (
     AdaptiveThresholdDetector,
     DetectorConfig,
     GestureFrame,
     detect_frames,
-    extract_frame,
     initialize_offsets,
     run_detector,
     update_threshold,
@@ -63,7 +62,6 @@ from .signals import (
     GestureEvent,
     LabeledRecording,
     ProcessedStream,
-    RawSample,
     RawStream,
     SENSOR_IDS,
 )

@@ -12,6 +12,7 @@ import logging
 import os
 import socket as socket_module
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import classifier, dataset, dsp, metrics, runtime, simulate, storage
@@ -25,7 +26,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 _DETECTOR_KEYS = (
-    ("phi", float, 20.0, "threshold floor [V]"),
+    ("phi", float, 20.0, "added to the window's mean excess over the offset at each threshold update; not a floor [V]"),
     ("update_period", int, 318, "offset/threshold refresh period [samples]"),
     ("pre_pad", int, 70, "frame padding before the upward crossing [samples]"),
     ("post_pad", int, 70, "frame padding after the downward crossing [samples]"),
@@ -34,6 +35,8 @@ _DETECTOR_KEYS = (
     ("warmup_period", int, 424, "no emissions before this index [samples]"),
     ("max_crossing_window", int, 50, "crisp crossing-pair dwell bound [samples]"),
 )
+
+_SCHEMES = ("weighted-diff", "literal-sum", "pairwise-diff", "low-pass")
 
 _DSP_KEYS = (
     ("sensitivity", float, 0.5, "weight on the current vs previous sample [0..1]"),
@@ -103,13 +106,7 @@ def _dsp_config(args, file_cfg: dict[str, str]) -> dsp.DspConfig:
     tau = _resolve(getattr(args, "dsp_sensitivity", None), file_cfg, "dsp.sensitivity", float, 0.5)
     smooth = _resolve(getattr(args, "dsp_smooth_window", None), file_cfg, "dsp.smooth_window", int, 5)
     cutoff = _resolve(getattr(args, "dsp_lpf_cutoff", None), file_cfg, "dsp.lpf_cutoff", float, 50.0)
-    update = _resolve(getattr(args, "det_update_period", None), file_cfg, "detector.update_period", int, 318)
-    return dsp.DspConfig(
-        sensitivity=(tau, tau, tau, tau),
-        smooth_window=smooth,
-        offset_period=max(update, smooth),
-        lpf_cutoff=cutoff,
-    )
+    return dsp.DspConfig(sensitivity=(tau, tau, tau, tau), smooth_window=smooth, lpf_cutoff=cutoff)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("process", help="condition a recording and write the processed CSV", parents=[common])
     p.add_argument("recording", help="input recording CSV [path]")
-    p.add_argument("--scheme", choices=dsp.SCHEMES, default="weighted-diff",
+    p.add_argument("--scheme", choices=_SCHEMES, default="weighted-diff",
                    help="conditioning scheme [name] (default: weighted-diff)")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--out", default=None, help="output CSV [path] (default: stdout)")
@@ -237,46 +234,35 @@ def _cmd_simulate(args, file_cfg) -> int:
 def _cmd_process(args, file_cfg) -> int:
     stream = storage.load_recording(args.recording, sampling_rate=args.rate)
     cfg = _dsp_config(args, file_cfg)
-    if args.scheme == "weighted-diff":
-        processed = dsp.weighted_smoothed_difference(stream, cfg)
-        header = ["index", "s1", "s2", "s3", "s4"]
-        rows = [
-            [processed.start_index + m] + [f"{v:.6f}" for v in processed.values[:, m]]
-            for m in range(len(processed))
-        ]
-    elif args.scheme == "literal-sum":
-        processed = dsp.literal_weighted_sum(stream, cfg)
-        header = ["index", "s1", "s2", "s3", "s4"]
-        rows = [
-            [processed.start_index + m] + [f"{v:.6f}" for v in processed.values[:, m]]
-            for m in range(len(processed))
-        ]
+    header = storage.RECORDING_HEADER
+    first = 0
+    if args.scheme in ("weighted-diff", "literal-sum"):
+        condition = (
+            dsp.weighted_smoothed_difference if args.scheme == "weighted-diff"
+            else dsp.literal_weighted_sum
+        )
+        processed = condition(stream, cfg)
+        first, columns = processed.start_index, processed.values
     elif args.scheme == "pairwise-diff":
         pairs = dsp.sensor_pairs()
-        series = [dsp.pairwise_sensor_difference(stream, a, b) for a, b in pairs]
         header = ["index"] + [f"s{a}s{b}" for a, b in pairs]
-        rows = [
-            [i] + [f"{col[i]:.6f}" for col in series] for i in range(len(stream))
-        ]
+        columns = [dsp.pairwise_sensor_difference(stream, a, b) for a, b in pairs]
     else:  # low-pass
-        filtered = [
-            dsp.low_pass(stream.values[s], cfg.lpf_cutoff, stream.sampling_rate)
-            for s in range(4)
+        columns = [
+            dsp.low_pass(channel, cfg.lpf_cutoff, stream.sampling_rate)
+            for channel in stream.values
         ]
-        header = ["index", "s1", "s2", "s3", "s4"]
-        rows = [[i] + [f"{ch[i]:.6f}" for ch in filtered] for i in range(len(stream))]
+    rows = [
+        [i] + [f"{v:.6f}" for v in row]
+        for i, row in enumerate(zip(*columns), start=first)
+    ]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
 def _write_csv(out_path, header, rows) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -297,7 +283,10 @@ def _cmd_fft(args, file_cfg) -> int:
         bands = []
         for part in args.bands.split(","):
             lo, _, hi = part.partition(":")
-            bands.append((float(lo), float(hi)))
+            try:
+                bands.append((float(lo), float(hi)))
+            except ValueError:
+                raise ConfigError(f"--bands: expected lo:hi in Hz, got {part!r}") from None
     else:
         bands = [(lo, hi) for lo, hi in dsp.DEFAULT_BANDS if hi <= nyquist]
         if not bands:
@@ -390,14 +379,13 @@ def _cmd_eval_detect(args, file_cfg) -> int:
 
 def _cmd_run(args, file_cfg) -> int:
     pacing = "unpaced" if args.unpaced else "realtime"
-    if args.source.startswith("file:"):
-        source = runtime.FileReplaySource(args.source[5:], sampling_rate=args.rate, pacing=pacing)
-    elif args.source.startswith("live:"):
+    if args.source.startswith("live:"):
         host, port = _parse_endpoint(args.source[5:])
         conn = socket_module.create_connection((host, port))
         source = runtime.LiveByteSource(conn.makefile("rb"), sampling_rate=args.rate or 53.0)
     else:
-        source = runtime.FileReplaySource(args.source, sampling_rate=args.rate, pacing=pacing)
+        path = args.source.removeprefix("file:")
+        source = runtime.FileReplaySource(path, sampling_rate=args.rate, pacing=pacing)
     model = classifier.load_model(args.model)
     cfg = runtime.PipelineConfig(
         dsp=_dsp_config(args, file_cfg),

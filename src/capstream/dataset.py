@@ -1,17 +1,17 @@
 """Frame dataset preparation from labeled recordings.
 
 Training frames are cut from the conditioned stream around the ground-truth
-event spans with the same pre/post padding the detector applies, so frames
-seen in training match what the detector emits at inference time.
+event spans with the same pre/post padding and the same offsets the detector
+applies, so frames seen in training match what the detector emits at
+inference time.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .classifier import DEFAULT_FRAME_LENGTH, frame_to_tensor
-from .detector import DetectorConfig, GestureFrame, run_detector
+from .detector import DetectorConfig, GestureFrame, initialize_offsets
 from .dsp import DspConfig, weighted_smoothed_difference
-from .errors import InsufficientDataError
 from .signals import LabeledRecording
 
 
@@ -24,11 +24,7 @@ def truth_frames(
     dsp_cfg = dsp_cfg or DspConfig()
     det_cfg = det_cfg or DetectorConfig()
     processed = weighted_smoothed_difference(rec.stream, dsp_cfg)
-    if len(processed) < det_cfg.init_period:
-        raise InsufficientDataError(
-            f"recording too short for offset initialization ({len(processed)} samples)"
-        )
-    offsets = processed.values[:, : det_cfg.init_period].mean(axis=1)
+    offsets = initialize_offsets(processed, det_cfg.init_period)
     base = processed.start_index
     last = base + len(processed) - 1
     frames = []
@@ -38,15 +34,6 @@ def truth_frames(
         channels = processed.values[:, start - base : end - base + 1] - offsets[:, None]
         frames.append(GestureFrame(k=k, start=start, end=end, channels=channels))
     return frames
-
-
-def detector_frames(
-    rec: LabeledRecording,
-    dsp_cfg: DspConfig | None = None,
-    det_cfg: DetectorConfig | None = None,
-) -> list[GestureFrame]:
-    """Frames produced by actually running the detector over the recording."""
-    return run_detector(rec.stream, dsp_cfg, det_cfg)
 
 
 def dataset_tensors(

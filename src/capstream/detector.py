@@ -9,7 +9,7 @@ multi-channel frame.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,16 @@ MERGE_POLICIES = ("union", "paper-literal")
 class DetectorConfig:
     """Detection parameters; defaults are the reference values at 53 Hz.
 
-    All periods are sample counts. phi is the threshold floor in volts.
-    pre_pad/post_pad widen each detection to cover signal ramps on both
-    sides. safety_period bounds how long a sensor may sit above threshold
-    before the reading is treated as a malfunction (e.g. direct contact).
+    All periods are sample counts. pre_pad/post_pad widen each detection to
+    cover signal ramps on both sides. safety_period bounds how long a sensor
+    may sit above threshold before the reading is treated as a malfunction
+    (e.g. direct contact).
+
+    phi (volts) is added to the window's mean excess over the offset at each
+    periodic update (update_threshold). It is not an invariant floor: the
+    offset is the mean of the quiet samples only, so the threshold can end
+    below phi, and the safety recompute adds no phi. The abstract does not
+    fix the rule; a clamp at phi would move frames and is left undecided.
     """
 
     phi: float = 20.0
@@ -119,29 +125,16 @@ class GestureFrame:
         return self.end - self.start + 1
 
 
-@dataclass
-class SensorDetectorState:
-    """Snapshot of one sensor's machine, for introspection and tests."""
-
-    offset: float
-    threshold: float
-    start: int
-    end: int
-    count: int
-    init_sum: float
-    init_count: int
-    recovering: bool
-    frames: list[tuple[int, int]] = field(default_factory=list)
+def _sequential_sum(values: np.ndarray) -> np.ndarray:
+    """Sum along the last axis left to right, as adding the samples one by one."""
+    return np.add.accumulate(values, axis=-1)[..., -1]
 
 
-def initialize_offsets(
-    processed: ProcessedStream | np.ndarray,
-    init_period: int,
-    phi: float,
-) -> list[SensorDetectorState]:
-    """Estimate per-sensor offsets from the first init_period conditioned samples.
+def initialize_offsets(processed: ProcessedStream | np.ndarray, init_period: int) -> np.ndarray:
+    """Per-sensor offsets: the mean of the first init_period conditioned samples.
 
-    Returns fresh states with the threshold at its floor and no open frame.
+    The detector and the training frames of dataset.truth_frames both take
+    their offsets from here, so a frame is cut with the same bits either way.
     """
     values = processed.values if isinstance(processed, ProcessedStream) else np.asarray(processed)
     if values.ndim != 2 or values.shape[0] != NUM_SENSORS:
@@ -150,52 +143,23 @@ def initialize_offsets(
         raise InsufficientDataError(
             f"need {init_period} samples for offset initialization, got {values.shape[1]}"
         )
-    offsets = values[:, :init_period].mean(axis=1)
-    return [
-        SensorDetectorState(
-            offset=float(offsets[s]),
-            threshold=float(phi),
-            start=0,
-            end=0,
-            count=0,
-            init_sum=0.0,
-            init_count=0,
-            recovering=False,
-        )
-        for s in range(NUM_SENSORS)
-    ]
+    return _sequential_sum(values[:, :init_period]) / init_period
 
 
 def update_threshold(
     window: np.ndarray, offset: float, phi: float, update_period: int
 ) -> float:
-    """Threshold rule: mean of the offset-subtracted window plus the floor phi."""
+    """Threshold rule: the window's mean minus the offset, plus phi.
+
+    The detector's periodic update calls it with phi and its safety
+    recompute with phi = 0.
+    """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or window.size != update_period:
         raise InvalidParameterError(
             f"threshold window must hold exactly {update_period} samples, got {window.size}"
         )
-    return float((window - offset).mean() + phi)
-
-
-def extract_frame(
-    history: ProcessedStream,
-    start: int,
-    end: int,
-    offsets: np.ndarray,
-) -> GestureFrame:
-    """Slice [start, end] out of the conditioned history, minus current offsets."""
-    if start >= end:
-        raise InvalidParameterError("start must precede end")
-    lo = start - history.start_index
-    hi = end - history.start_index
-    if lo < 0 or hi >= len(history):
-        raise CapacityError(
-            f"history covers [{history.start_index}, {history.start_index + len(history) - 1}], "
-            f"requested [{start}, {end}]"
-        )
-    channels = history.values[:, lo : hi + 1] - np.asarray(offsets, dtype=np.float64)[:, None]
-    return GestureFrame(k=0, start=start, end=end, channels=channels)
+    return float(_sequential_sum(window) / update_period - offset + phi)
 
 
 class AdaptiveThresholdDetector:
@@ -212,17 +176,17 @@ class AdaptiveThresholdDetector:
         self.cfg = cfg or DetectorConfig()
         c = self.cfg
         self._cap = c.capacity
-        # History is valid for the last cap indices. The ring holds one more
-        # push_block segment (cap columns) so that writing a segment up front
-        # never overwrites a sample an event inside it may still read.
-        self._ring = 2 * self._cap
+        # History is valid for the last cap indices, and the first
+        # init_period until the offsets are set from them. The ring holds one
+        # more push_block segment (cap columns) so that writing a segment up
+        # front never overwrites a sample an event inside it may still read.
+        self._ring = self._cap + max(self._cap, c.init_period)
         self._hist = np.zeros((NUM_SENSORS, self._ring))
         self._hist_rows = list(self._hist)  # per-sensor views, for step()
         self._j: int | None = None
         self._first_j: int | None = None
         self._seen = 0
         self._initialized = False
-        self._init_sums = [0.0] * NUM_SENSORS
 
         self._lam = [0.0] * NUM_SENSORS
         self._delta = [c.phi] * NUM_SENSORS
@@ -243,10 +207,6 @@ class AdaptiveThresholdDetector:
             "long_dwells": 0,
             "safety_recomputes": 0,
         }
-
-    @property
-    def frames_emitted(self) -> int:
-        return self._k
 
     @property
     def initialized(self) -> bool:
@@ -280,22 +240,6 @@ class AdaptiveThresholdDetector:
                 horizon = max(horizon, close)
         return horizon
 
-    def sensor_state(self, sensor: int) -> SensorDetectorState:
-        s = sensor - 1
-        if not 0 <= s < NUM_SENSORS:
-            raise InvalidParameterError(f"sensor must be in [1, 4], got {sensor}")
-        return SensorDetectorState(
-            offset=self._lam[s],
-            threshold=self._delta[s],
-            start=self._start[s],
-            end=self._end[s],
-            count=self._cnt[s],
-            init_sum=self._isum[s],
-            init_count=self._icount[s],
-            recovering=self._recovering[s],
-            frames=list(self._frames[s]),
-        )
-
     def offsets(self) -> np.ndarray:
         return np.asarray(self._lam, dtype=np.float64)
 
@@ -314,38 +258,31 @@ class AdaptiveThresholdDetector:
         """Oldest index still buffered once j was written."""
         return max(j - self._cap + 1, self._first_j)
 
-    def _window_lo(self, j: int, length: int) -> int | None:
-        """First index of the trailing window (j-length, j], or None if evicted."""
-        lo = j - length + 1
-        return None if lo < self._first_valid(j) else lo
-
-    def _range_sum(self, s: int, lo: int, hi: int) -> float:
-        # Sequential, like adding the samples one by one.
-        window = self._hist[s, np.arange(lo, hi + 1) % self._ring]
-        return float(np.add.accumulate(window)[-1])
+    def _update_threshold(self, s: int, j: int, phi: float) -> None:
+        """Set sensor s's threshold from the update_period samples ending at j."""
+        p1 = self.cfg.update_period
+        lo = j - p1 + 1
+        if lo < self._first_valid(j):
+            log.debug("sensor %d: threshold update at %d skipped, window not buffered", s + 1, j)
+            return
+        window = self._hist[s, np.arange(lo, j + 1) % self._ring]
+        self._delta[s] = update_threshold(window, self._lam[s], phi, p1)
 
     def _periodic_update(self, s: int, j: int) -> None:
-        c = self.cfg
         if self._icount[s] > 0:
             self._lam[s] = self._isum[s] / self._icount[s]
-        lo = self._window_lo(j, c.update_period)
-        if lo is not None:
-            mean = self._range_sum(s, lo, j) / c.update_period
-            self._delta[s] = mean - self._lam[s] + c.phi
-        else:
-            log.debug("sensor %d: update at %d skipped, window not buffered", s + 1, j)
+        self._update_threshold(s, j, self.cfg.phi)
         self._isum[s] = 0.0
         self._icount[s] = 0
 
-    def _absorb_init(self, block: np.ndarray) -> None:
-        """Take up to the remaining init_period columns into the offset sums."""
+    def _absorb_init(self, last: int, m: int) -> None:
+        """Count m more buffered initialization columns, the last at index last."""
         c = self.cfg
-        seeded = np.concatenate((np.asarray(self._init_sums)[:, None], block), axis=1)
-        self._init_sums = np.add.accumulate(seeded, axis=1)[:, -1].tolist()
-        self._prev = block[:, -1].tolist()
-        self._seen += block.shape[1]
+        self._prev = self._hist[:, last % self._ring].tolist()
+        self._seen += m
         if self._seen >= c.init_period:
-            self._lam = [total / c.init_period for total in self._init_sums]
+            cols = np.arange(self._first_j, self._first_j + c.init_period) % self._ring
+            self._lam = initialize_offsets(self._hist[:, cols], c.init_period).tolist()
             self._delta = [c.phi] * NUM_SENSORS
             self._initialized = True
 
@@ -354,9 +291,8 @@ class AdaptiveThresholdDetector:
         self._advance(j, 1)
         pos = j % self._ring
         if not self._initialized:
-            row = [float(values[s]) for s in range(NUM_SENSORS)]
-            self._hist[:, pos] = row
-            self._absorb_init(np.asarray(row)[:, None])
+            self._hist[:, pos] = [float(values[s]) for s in range(NUM_SENSORS)]
+            self._absorb_init(j, 1)
             return None
         hist, sample = self._hist_rows, self._sample
         for s in range(NUM_SENSORS):
@@ -405,9 +341,7 @@ class AdaptiveThresholdDetector:
             if self._cnt[s] > c.safety_period:
                 # Malfunction guard: drop the pending detection and hold
                 # off until offset/threshold re-stabilize.
-                lo = self._window_lo(j, p1)
-                if lo is not None:
-                    self._delta[s] = self._range_sum(s, lo, j) / p1 - lam
+                self._update_threshold(s, j, 0.0)
                 self._cnt[s] = 0
                 self._start[s] = 0
                 self._end[s] = 0
@@ -500,7 +434,7 @@ class AdaptiveThresholdDetector:
         pos = a
         if not self._initialized:
             m = min(n, c.init_period - self._seen)
-            self._absorb_init(x[:, :m])
+            self._absorb_init(a + m - 1, m)
             pos += m
         done = [pos] * NUM_SENSORS  # per sensor, first index not yet applied
         ends = self._end

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError
 from .signals import NUM_SENSORS, ProcessedStream, RawStream, validate_sensor_id
 
-SCHEMES = ("weighted-diff", "literal-sum", "pairwise-diff", "low-pass")
-
 # The five analysis bands used for the idle/gesture spectral comparison.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = (
     (1.0, 100.0),
@@ -33,15 +31,12 @@ class DspConfig:
     sensitivity weighs the current sample against the previous one per
     sensor; 0.5 everywhere reduces the weighted difference to the plain
     sequential difference. smooth_window is deliberately small (latency in
-    samples); offset_period is the detector's update period and must not be
-    shorter than the smoothing window.
+    samples). lpf_cutoff is the low-pass route's cutoff in Hz.
     """
 
     sensitivity: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
     smooth_window: int = 5
-    offset_period: int = 318
     lpf_cutoff: float = 50.0
-    scheme: str = "weighted-diff"
 
     def __post_init__(self) -> None:
         if len(self.sensitivity) != NUM_SENSORS:
@@ -51,10 +46,6 @@ class DspConfig:
                 raise InvalidParameterError(f"sensitivity must lie in [0, 1], got {tau}")
         if self.smooth_window < 1:
             raise InvalidParameterError("smooth_window must be >= 1")
-        if self.offset_period < self.smooth_window:
-            raise InvalidParameterError("offset_period must be >= smooth_window")
-        if self.scheme not in SCHEMES:
-            raise InvalidParameterError(f"scheme must be one of {SCHEMES}")
 
 
 @dataclass
@@ -172,8 +163,13 @@ def sensor_pairs() -> tuple[tuple[int, int], ...]:
     return ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def _padded_spectrum(x: np.ndarray, sampling_rate: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """rfft of x zero-padded to a power of two: (bins, bin frequencies in Hz, padded length)."""
+    n = 1 << (max(x.size, 2) - 1).bit_length()
+    padded = np.zeros(n)
+    padded[: x.size] = x
+    spec = np.fft.rfft(padded)
+    return spec, np.arange(spec.size) * sampling_rate / n, n
 
 
 def fft(signal: Sequence[float] | np.ndarray, sampling_rate: float) -> Spectrum:
@@ -183,11 +179,7 @@ def fft(signal: Sequence[float] | np.ndarray, sampling_rate: float) -> Spectrum:
         raise InsufficientDataError("fft needs a non-empty 1-D signal")
     if sampling_rate <= 0:
         raise InvalidParameterError("sampling_rate must be > 0")
-    n = _next_pow2(max(x.size, 2))
-    padded = np.zeros(n)
-    padded[: x.size] = x
-    spec = np.fft.rfft(padded)
-    freqs = np.arange(spec.size) * sampling_rate / n
+    spec, freqs, _ = _padded_spectrum(x, sampling_rate)
     return Spectrum(frequencies=freqs, magnitudes=np.abs(spec))
 
 
@@ -211,11 +203,7 @@ def low_pass(
         )
     if window < 1:
         raise InvalidParameterError("window must be >= 1")
-    n = _next_pow2(max(x.size, 2))
-    padded = np.zeros(n)
-    padded[: x.size] = x
-    spec = np.fft.rfft(padded)
-    freqs = np.arange(spec.size) * sampling_rate / n
+    spec, freqs, n = _padded_spectrum(x, sampling_rate)
     spec[freqs > cutoff] = 0.0
     out = np.fft.irfft(spec, n)[: x.size]
     if window > 1:
@@ -238,11 +226,7 @@ def band_pass(
         raise InvalidParameterError(
             f"band {band} exceeds Nyquist {sampling_rate / 2} Hz"
         )
-    n = _next_pow2(max(x.size, 2))
-    padded = np.zeros(n)
-    padded[: x.size] = x
-    spec = np.fft.rfft(padded)
-    freqs = np.arange(spec.size) * sampling_rate / n
+    spec, freqs, n = _padded_spectrum(x, sampling_rate)
     spec[(freqs < lo) | (freqs > hi)] = 0.0
     return np.fft.irfft(spec, n)[: x.size]
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ProtocolError
 
 GESTURE_LABELS: dict[int, str] = {
@@ -130,13 +128,3 @@ def decode_message(line: str | bytes) -> CommandMessage:
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"bad field value: {exc}") from None
 
-
-def message_from_prediction(
-    frame_index: int, timestamp_ms: int, class_id: int, probabilities: np.ndarray
-) -> CommandMessage:
-    return CommandMessage.for_class(
-        class_id=class_id,
-        frame_index=frame_index,
-        timestamp_ms=timestamp_ms,
-        probability=float(np.max(probabilities)),
-    )

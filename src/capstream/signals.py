@@ -27,15 +27,6 @@ def validate_sensor_id(sensor: int) -> int:
     return sensor
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """One voltage reading from one sensor."""
-
-    sensor: SensorId
-    index: int
-    value: float
-
-
 @dataclass
 class RawStream:
     """Parallel voltage time series for the four sensor plates.
@@ -48,8 +39,8 @@ class RawStream:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sampling_rate <= 0:
-            raise InvalidParameterError(f"sampling_rate must be > 0, got {self.sampling_rate}")
+        if not 0 < self.sampling_rate < np.inf:
+            raise InvalidParameterError(f"sampling_rate must be finite and > 0, got {self.sampling_rate}")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] != NUM_SENSORS:
             raise InvalidParameterError(
@@ -64,10 +55,6 @@ class RawStream:
     def channel(self, sensor: SensorId) -> np.ndarray:
         validate_sensor_id(sensor)
         return self.values[sensor - 1]
-
-    def samples(self, sensor: SensorId) -> Iterator[RawSample]:
-        for i, v in enumerate(self.channel(sensor)):
-            yield RawSample(sensor=sensor, index=i, value=float(v))
 
     def rows(self) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
         """Yield (index, (v1, v2, v3, v4)) in stream order."""
@@ -102,9 +89,6 @@ class ProcessedStream:
 
     def __len__(self) -> int:
         return self.values.shape[1]
-
-    def raw_index(self, column: int) -> int:
-        return self.start_index + column
 
 
 @dataclass(frozen=True)

@@ -9,57 +9,82 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .detector import GestureFrame
 from .errors import InvalidParameterError
-from .signals import NUM_SENSORS, GestureEvent, LabeledRecording, RawStream
+from .signals import GestureEvent, LabeledRecording, RawStream
 from .simulate import PhysicsParams
 
 RECORDING_HEADER = ["index", "s1", "s2", "s3", "s4"]
 LABELS_HEADER = ["class_id", "true_start", "true_end"]
 FRAME_INDEX_HEADER = ["k", "start", "end"]
 MANIFEST_NAME = "manifest.txt"
+_DEFAULT_RATE = 53.0
 
 
-def save_recording(path: str | Path, stream: RawStream) -> None:
+def _read_rows(
+    path: str | Path, header: list[str], cast: Callable[[str], object], first: int = 0
+) -> Iterator[list]:
+    """Yield cells first..len(header)-1 of each non-empty row, each passed through cast.
+
+    A wrong header, a short row or a cell that cast rejects raises
+    InvalidParameterError naming path:line.
+    """
+    width = len(header)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise InvalidParameterError(f"{path}: expected header {','.join(header)}")
+        for line in reader:
+            if not line:
+                continue
+            if len(line) < width:
+                raise InvalidParameterError(
+                    f"{path}:{reader.line_num}: expected {width} cells, got {len(line)}"
+                )
+            try:
+                row = [cast(v) for v in line[first:width]]
+            except ValueError as exc:
+                raise InvalidParameterError(f"{path}:{reader.line_num}: {exc}") from None
+            yield row
+
+
+def _manifest_rate(directory: Path) -> float:
+    """sampling_rate from the directory's manifest, or the default without one."""
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        return _DEFAULT_RATE
+    text = load_manifest(path).get("sampling_rate", str(_DEFAULT_RATE))
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameterError(
+            f"{path}: sampling_rate must be a number, got {text!r}"
+        ) from None
+
+
+def _write_samples(path: str | Path, rows: Iterable[tuple[int, Iterable[float]]]) -> None:
+    """Recording CSV from (index, (v1, v2, v3, v4)) rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORDING_HEADER)
-        for i, row in stream.rows():
+        for i, row in rows:
             writer.writerow([i] + [f"{v:.6f}" for v in row])
+
+
+def save_recording(path: str | Path, stream: RawStream) -> None:
+    _write_samples(path, stream.rows())
 
 
 def load_recording(path: str | Path, sampling_rate: float | None = None) -> RawStream:
     """Read a recording CSV; the rate comes from a sibling manifest unless given."""
     path = Path(path)
     if sampling_rate is None:
-        manifest_path = path.parent / MANIFEST_NAME
-        if manifest_path.exists():
-            manifest = load_manifest(manifest_path)
-            sampling_rate = float(manifest.get("sampling_rate", 53.0))
-        else:
-            sampling_rate = 53.0
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORDING_HEADER:
-            raise InvalidParameterError(
-                f"{path}: expected header {','.join(RECORDING_HEADER)}"
-            )
-        for line in reader:
-            if not line:
-                continue
-            if len(line) < 1 + NUM_SENSORS:
-                raise InvalidParameterError(
-                    f"{path}:{reader.line_num}: expected {1 + NUM_SENSORS} cells, got {len(line)}"
-                )
-            try:
-                rows.append([float(v) for v in line[1 : 1 + NUM_SENSORS]])
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}:{reader.line_num}: {exc}") from None
+        sampling_rate = _manifest_rate(path.parent)
+    rows = list(_read_rows(path, RECORDING_HEADER, float, first=1))
     if not rows:
         raise InvalidParameterError(f"{path}: recording holds no samples")
     return RawStream(sampling_rate=sampling_rate, values=np.asarray(rows).T)
@@ -79,19 +104,7 @@ def save_labels(path: str | Path, events: list[GestureEvent]) -> None:
 
 
 def load_labels(path: str | Path) -> list[GestureEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise InvalidParameterError(f"{path}: expected header {','.join(LABELS_HEADER)}")
-        for line in reader:
-            if not line:
-                continue
-            events.append(
-                GestureEvent(class_id=int(line[0]), start=int(line[1]), end=int(line[2]))
-            )
-    return events
+    return [GestureEvent(*row) for row in _read_rows(path, LABELS_HEADER, int)]
 
 
 def save_manifest(path: str | Path, entries: dict) -> None:
@@ -153,10 +166,7 @@ def save_dataset(
 
 def load_dataset(data_dir: str | Path) -> list[LabeledRecording]:
     data_dir = Path(data_dir)
-    manifest_path = data_dir / MANIFEST_NAME
-    rate = None
-    if manifest_path.exists():
-        rate = float(load_manifest(manifest_path).get("sampling_rate", 53.0))
+    rate = _manifest_rate(data_dir)
     recordings = []
     for rec_path in sorted(data_dir.glob("rec_*.csv")):
         if rec_path.name.endswith(".labels.csv"):
@@ -181,28 +191,11 @@ def save_frames(out_dir: str | Path, frames: list[GestureFrame]) -> Path:
         for frame in frames:
             writer.writerow([frame.k, frame.start, frame.end])
     for frame in frames:
-        if frame.channels is None:
-            continue
-        with open(out_dir / f"frame_{frame.k:04d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORDING_HEADER)
-            for offset in range(frame.channels.shape[1]):
-                writer.writerow(
-                    [frame.start + offset]
-                    + [f"{v:.6f}" for v in frame.channels[:, offset]]
-                )
+        if frame.channels is not None:
+            rows = enumerate(zip(*frame.channels.tolist()), start=frame.start)
+            _write_samples(out_dir / f"frame_{frame.k:04d}.csv", rows)
     return index_path
 
 
 def load_frame_index(path: str | Path) -> list[GestureFrame]:
-    frames = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FRAME_INDEX_HEADER:
-            raise InvalidParameterError(f"{path}: expected header {','.join(FRAME_INDEX_HEADER)}")
-        for line in reader:
-            if not line:
-                continue
-            frames.append(GestureFrame(k=int(line[0]), start=int(line[1]), end=int(line[2])))
-    return frames
+    return [GestureFrame(*row) for row in _read_rows(path, FRAME_INDEX_HEADER, int)]

@@ -130,6 +130,60 @@ class TestDetect:
         assert "containment_correct" in report
 
 
+def _bands_not_numbers(d):
+    return ["fft", str(d / "rec.csv"), "--bands", "1:x"]
+
+
+def _frames_index_short_row(d):
+    (d / "frames_index.csv").write_text("k,start,end\n1,10,20\n2,30\n")
+    return ["eval-detect", str(d / "frames_index.csv"), str(d / "rec.labels.csv")]
+
+
+def _labels_not_integer(d):
+    (d / "frames_index.csv").write_text("k,start,end\n1,10,20\n")
+    (d / "rec.labels.csv").write_text("class_id,true_start,true_end\n1,12,1.5\n")
+    return ["eval-detect", str(d / "frames_index.csv"), str(d / "rec.labels.csv")]
+
+
+def _manifest_rate_for_recording(d):
+    (d / "manifest.txt").write_text("sampling_rate=fast\n")
+    return ["detect", str(d / "rec.csv"), "--out-dir", str(d / "frames")]
+
+
+def _manifest_rate_not_finite(d):
+    (d / "manifest.txt").write_text("sampling_rate=nan\n")
+    return ["fft", str(d / "rec.csv")]
+
+
+def _manifest_rate_for_dataset(d):
+    (d / "manifest.txt").write_text("sampling_rate=fast\n")
+    return ["train", "--data", str(d), "--out", str(d / "model.bin"), "--epochs", "1"]
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize(
+        "make_argv",
+        [
+            _bands_not_numbers,
+            _frames_index_short_row,
+            _labels_not_integer,
+            _manifest_rate_for_recording,
+            _manifest_rate_not_finite,
+            _manifest_rate_for_dataset,
+        ],
+    )
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, params, make_argv):
+        rec = generate_gesture(5, 1, params, sampling_rate=53.0)
+        save_recording(tmp_path / "rec_0001.csv", rec.stream)
+        save_recording(tmp_path / "rec.csv", rec.stream)
+        save_labels(tmp_path / "rec.labels.csv", rec.events)
+        code = main(make_argv(tmp_path))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestProcessAndFft:
     def test_process_weighted_diff_output(self, session_dir, tmp_path):
         out_csv = tmp_path / "proc.csv"

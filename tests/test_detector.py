@@ -5,25 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capstream.dataset import truth_frames
 from capstream.detector import (
     AdaptiveThresholdDetector,
     DetectorConfig,
     GestureFrame,
     detect_frames,
-    extract_frame,
     initialize_offsets,
     run_detector,
     update_threshold,
 )
 from capstream.dsp import weighted_smoothed_difference
-from capstream.errors import (
-    CapacityError,
-    InsufficientDataError,
-    InvalidParameterError,
-    OrderingError,
-)
-from capstream.signals import ProcessedStream, RawStream
-from capstream.simulate import generate_idle, generate_session
+from capstream.errors import InsufficientDataError, InvalidParameterError, OrderingError
+from capstream.signals import RawStream
+from capstream.simulate import generate_dataset, generate_idle, generate_session
 from reference_detector import reference_frames
 
 
@@ -49,28 +44,29 @@ def _pulse_trace(length=1200, lo=500, hi=560, level=100.0):
 
 class TestInitializeOffsets:
     def test_zero_prefix(self):
-        states = initialize_offsets(np.zeros((4, 100)), init_period=100, phi=20.0)
-        for s in states:
-            assert s.offset == 0.0
-            assert s.threshold == 20.0
-            assert s.start == 0 and s.end == 0
+        offsets = initialize_offsets(np.zeros((4, 100)), init_period=100)
+        np.testing.assert_array_equal(offsets, np.zeros(4))
 
     def test_mean_prefix(self):
         prefix = np.full((4, 50), 3.5)
-        states = initialize_offsets(prefix, init_period=50, phi=20.0)
-        assert all(s.offset == pytest.approx(3.5) for s in states)
+        offsets = initialize_offsets(prefix, init_period=50)
+        assert offsets.shape == (4,)
+        np.testing.assert_allclose(offsets, 3.5)
 
     def test_idle_offset_matches_direct_mean(self, params, dsp_cfg):
         idle = generate_idle(6, 1200, params, 53.0)
         proc = weighted_smoothed_difference(idle, dsp_cfg)
-        states = initialize_offsets(proc, init_period=530, phi=20.0)
-        expected = proc.values[:, :530].mean(axis=1)
-        for s, e in zip(states, expected):
-            assert s.offset == pytest.approx(e, abs=1e-12)
+        offsets = initialize_offsets(proc, init_period=530)
+        np.testing.assert_allclose(offsets, proc.values[:, :530].mean(axis=1), rtol=0, atol=1e-12)
+
+    def test_sums_left_to_right(self):
+        # A pairwise sum gives 1.0 here; one sample at a time, the 1s vanish.
+        prefix = np.tile([1e16, 1.0, 1.0, -1e16], (4, 1))
+        np.testing.assert_array_equal(initialize_offsets(prefix, init_period=4), np.zeros(4))
 
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientDataError):
-            initialize_offsets(np.zeros((4, 10)), init_period=100, phi=20.0)
+            initialize_offsets(np.zeros((4, 10)), init_period=100)
 
 
 class TestUpdateThreshold:
@@ -85,7 +81,7 @@ class TestUpdateThreshold:
         # Frozen seed with non-negative offset-subtracted window means.
         idle = generate_idle(6, 2000, params, 53.0)
         proc = weighted_smoothed_difference(idle, dsp_cfg)
-        lam = proc.values[:, :530].mean(axis=1)
+        lam = initialize_offsets(proc, 530)
         for s in range(4):
             delta = update_threshold(proc.values[s, 600:918], lam[s], 20.0, 318)
             assert 20.0 <= delta <= 20.0 + 0.5 * params.idle_sigma
@@ -161,20 +157,22 @@ class TestStep:
             np.testing.assert_array_equal(fa.channels, fb.channels)
 
     def test_no_update_while_frame_open(self):
-        # Offset/threshold must stay quiescent from the upward crossing to
-        # the frame commit (no safety events in this trace).
+        # A slow ramp under the pulse moves offset and threshold at every
+        # update index (each 50) except the two, 550 and 600, that fall
+        # between the upward crossing at 500 and the commit at 540 + 70.
         cfg = DetectorConfig(init_period=200, update_period=50)
         det = AdaptiveThresholdDetector(cfg)
         trace = _pulse_trace(length=1200, lo=500, hi=540)
-        lam_during, delta_during = [], []
+        trace[0] += 0.01 * np.arange(1200)
+        states, frames = [], []
         for m in range(trace.shape[1]):
-            det.step(m, trace[:, m])
-            state = det.sensor_state(1)
-            if state.start != 0 or state.end != 0:
-                lam_during.append(state.offset)
-                delta_during.append(state.threshold)
-        assert len(set(lam_during)) == 1
-        assert len(set(delta_during)) == 1
+            frame = det.step(m, trace[:, m])
+            frames += [frame] if frame is not None else []
+            states.append((det.offsets()[0], det.thresholds()[0]))
+        assert [(f.start, f.end) for f in frames] == [(430, 610)]
+        assert len(set(states[500:611])) == 1
+        for j in (450, 650):
+            assert states[j] != states[j - 1]
         assert det.diagnostics["safety_recomputes"] == 0
 
     def test_start_underflow_clamped(self):
@@ -253,38 +251,29 @@ class TestThresholdFloorProperty:
     def test_delta_at_least_phi_for_nonnegative_means(self, seed):
         rng = np.random.default_rng(seed)
         window = rng.normal(2.0, 1.0, size=318)
-        offset = min(window.mean(), 2.0)  # keeps the subtracted mean >= 0
+        # The window mean as the rule sums it, so the subtracted mean is >= 0.
+        offset = min(update_threshold(window, 0.0, 0.0, 318), 2.0)
         delta = update_threshold(window, offset, 20.0, 318)
         assert delta >= 20.0
 
 
 class TestExtractFrame:
-    def _history(self, n=800, base=5):
-        rng = np.random.default_rng(2)
-        return ProcessedStream(
-            sampling_rate=53.0, start_index=base, values=rng.normal(3, 1, size=(4, n))
-        )
+    """The detector slices its emitted frames out of its own history."""
 
-    def test_span_length(self):
-        hist = self._history()
-        frame = extract_frame(hist, 430, 630, np.zeros(4))
-        assert frame.channels.shape == (4, 201)
-
-    def test_zero_offsets_identity(self):
-        hist = self._history()
-        frame = extract_frame(hist, 100, 150, np.zeros(4))
-        np.testing.assert_array_equal(frame.channels, hist.values[:, 95:146])
-
-    def test_offsets_subtracted(self):
-        hist = self._history()
-        lam = np.array([1.0, 2.0, 3.0, 4.0])
-        frame = extract_frame(hist, 100, 150, lam)
-        np.testing.assert_allclose(frame.channels, hist.values[:, 95:146] - lam[:, None])
-
-    def test_evicted_range_rejected(self):
-        hist = self._history(n=100, base=500)
-        with pytest.raises(CapacityError):
-            extract_frame(hist, 100, 200, np.zeros(4))
+    def test_offsets_subtracted(self, session_10, dsp_cfg, det_cfg):
+        processed = weighted_smoothed_difference(session_10.stream, dsp_cfg)
+        det = AdaptiveThresholdDetector(det_cfg)
+        base = processed.start_index
+        frames = 0
+        for m in range(processed.values.shape[1]):
+            frame = det.step(base + m, processed.values[:, m])
+            if frame is None:
+                continue
+            lo = frame.start - base
+            expected = processed.values[:, lo : lo + len(frame)] - det.offsets()[:, None]
+            np.testing.assert_array_equal(frame.channels, expected)
+            frames += 1
+        assert frames == len(session_10.events)
 
     def test_emitted_frames_have_zero_centred_margin(self, session_10, dsp_cfg, det_cfg):
         # Oracle: the pre-gesture padding of every emitted frame averages
@@ -294,6 +283,69 @@ class TestExtractFrame:
         for frame in frames:
             margin = frame.channels[:, : det_cfg.pre_pad]
             assert abs(margin.mean()) <= det_cfg.phi
+
+
+class TestSingleRule:
+    """The detector, truth_frames and the public rule functions share their bits."""
+
+    def test_truth_frames_subtract_the_detector_offsets(self, params, dsp_cfg, det_cfg):
+        for rec in generate_dataset(2024, 5, params, sampling_rate=53.0):
+            processed = weighted_smoothed_difference(rec.stream, dsp_cfg)
+            det = AdaptiveThresholdDetector(det_cfg)
+            det.push_block(processed.start_index, processed.values[:, : det_cfg.init_period])
+            assert det.initialized
+            offsets = det.offsets()
+            for frame in truth_frames(rec, dsp_cfg, det_cfg):
+                lo = frame.start - processed.start_index
+                expected = processed.values[:, lo : lo + len(frame)] - offsets[:, None]
+                np.testing.assert_array_equal(frame.channels, expected)
+
+    @pytest.mark.parametrize("chunk", ["step", 71, 530])
+    def test_detector_offsets_are_initialize_offsets(self, session_10, dsp_cfg, det_cfg, chunk):
+        processed = weighted_smoothed_difference(session_10.stream, dsp_cfg)
+        values, base = processed.values[:, : det_cfg.init_period], processed.start_index
+        det = AdaptiveThresholdDetector(det_cfg)
+        if chunk == "step":
+            _drive(det, values, base)
+        else:
+            for lo in range(0, values.shape[1], chunk):
+                det.push_block(base + lo, values[:, lo : lo + chunk])
+        assert det.initialized
+        np.testing.assert_array_equal(
+            det.offsets(), initialize_offsets(processed, det_cfg.init_period)
+        )
+
+    def test_periodic_update_is_update_threshold(self, params, dsp_cfg, det_cfg):
+        idle = generate_idle(6, 3000, params, 53.0)
+        processed = weighted_smoothed_difference(idle, dsp_cfg)
+        det = AdaptiveThresholdDetector(det_cfg)
+        base, p1 = processed.start_index, det_cfg.update_period
+        updates = 0
+        for m in range(processed.values.shape[1]):
+            j = base + m
+            det.step(j, processed.values[:, m])
+            if not det.initialized or j % p1 != 0:
+                continue
+            window = processed.values[:, j - p1 + 1 - base : j + 1 - base]
+            for s in range(4):
+                expected = update_threshold(window[s], det.offsets()[s], det_cfg.phi, p1)
+                assert det.thresholds()[s] == expected
+            updates += 1
+        assert updates >= 5
+
+    def test_safety_recompute_is_update_threshold_without_phi(self):
+        cfg = DetectorConfig(init_period=200)
+        det = AdaptiveThresholdDetector(cfg)
+        rng = np.random.default_rng(0)
+        trace = np.zeros((4, 1200))
+        trace[0, 500:1000] = 500.0 + rng.normal(0, 2.0, 500)
+        p1 = cfg.update_period
+        for j in range(trace.shape[1]):
+            det.step(j, trace[:, j])
+            if det.diagnostics["safety_recomputes"]:
+                break
+        window = trace[0, j - p1 + 1 : j + 1]
+        assert det.thresholds()[0] == update_threshold(window, det.offsets()[0], 0.0, p1)
 
 
 class TestDetectorConfig:

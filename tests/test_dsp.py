@@ -324,11 +324,3 @@ class TestConfig:
     def test_sensitivity_bounds(self):
         with pytest.raises(InvalidParameterError):
             DspConfig(sensitivity=(1.2, 0.5, 0.5, 0.5))
-
-    def test_window_period_relation(self):
-        with pytest.raises(InvalidParameterError):
-            DspConfig(smooth_window=10, offset_period=5)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(InvalidParameterError):
-            DspConfig(scheme="wavelet")

@@ -10,7 +10,6 @@ from capstream.signals import (
     GestureEvent,
     LabeledRecording,
     ProcessedStream,
-    RawSample,
     RawStream,
     validate_sensor_id,
 )
@@ -51,11 +50,10 @@ class TestRawStream:
         with pytest.raises(InvalidParameterError):
             RawStream(sampling_rate=0.0, values=np.zeros((4, 4)))
 
-    def test_samples_iterate_in_index_order(self):
-        values = np.arange(8, dtype=float).reshape(4, 2)
-        stream = RawStream(sampling_rate=10.0, values=values)
-        samples = list(stream.samples(2))
-        assert samples == [RawSample(2, 0, 2.0), RawSample(2, 1, 3.0)]
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_rate(self, rate):
+        with pytest.raises(InvalidParameterError):
+            RawStream(sampling_rate=rate, values=np.zeros((4, 4)))
 
     def test_rows(self):
         values = np.arange(8, dtype=float).reshape(4, 2)
@@ -64,10 +62,9 @@ class TestRawStream:
 
 
 class TestProcessedStream:
-    def test_raw_index_mapping(self):
-        proc = ProcessedStream(sampling_rate=53.0, start_index=5, values=np.zeros((4, 3)))
-        assert proc.raw_index(0) == 5
-        assert proc.raw_index(2) == 7
+    def test_rejects_bad_shape(self):
+        with pytest.raises(InvalidParameterError):
+            ProcessedStream(sampling_rate=53.0, start_index=5, values=np.zeros((3, 3)))
 
 
 class TestLabeledRecording:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from capstream.dataset import dataset_tensors, detector_frames, truth_frames
+from capstream.dataset import dataset_tensors, truth_frames
+from capstream.detector import run_detector
 from capstream.errors import InvalidParameterError
 from capstream.signals import GestureEvent
 from capstream.simulate import generate_dataset, generate_gesture
@@ -106,7 +107,7 @@ class TestDatasetDir:
 
 class TestFrameIO:
     def test_index_round_trip(self, tmp_path, session_10, dsp_cfg, det_cfg):
-        frames = detector_frames(session_10, dsp_cfg, det_cfg)
+        frames = run_detector(session_10.stream, dsp_cfg, det_cfg)
         index = save_frames(tmp_path / "frames", frames)
         loaded = load_frame_index(index)
         assert [(f.k, f.start, f.end) for f in loaded] == [
