@@ -38,10 +38,12 @@ _DETECTOR_KEYS = (
 
 _SCHEMES = ("weighted-diff", "literal-sum", "pairwise-diff", "low-pass")
 
+_DSP_DEFAULTS = dsp.DspConfig()
+# The CLI sets one sensitivity for all four sensors.
 _DSP_KEYS = (
-    ("sensitivity", float, 0.5, "weight on the current vs previous sample [0..1]"),
-    ("smooth_window", int, 5, "moving-average window [samples]"),
-    ("lpf_cutoff", float, 50.0, "low-pass cutoff [Hz]"),
+    ("sensitivity", float, _DSP_DEFAULTS.sensitivity[0], "weight on the current vs previous sample [0..1]"),
+    ("smooth_window", int, _DSP_DEFAULTS.smooth_window, "moving-average window [samples]"),
+    ("lpf_cutoff", float, _DSP_DEFAULTS.lpf_cutoff, "low-pass cutoff [Hz]"),
 )
 
 
@@ -103,10 +105,12 @@ def _detector_config(args, file_cfg: dict[str, str]) -> DetectorConfig:
 
 
 def _dsp_config(args, file_cfg: dict[str, str]) -> dsp.DspConfig:
-    tau = _resolve(getattr(args, "dsp_sensitivity", None), file_cfg, "dsp.sensitivity", float, 0.5)
-    smooth = _resolve(getattr(args, "dsp_smooth_window", None), file_cfg, "dsp.smooth_window", int, 5)
-    cutoff = _resolve(getattr(args, "dsp_lpf_cutoff", None), file_cfg, "dsp.lpf_cutoff", float, 50.0)
-    return dsp.DspConfig(sensitivity=(tau, tau, tau, tau), smooth_window=smooth, lpf_cutoff=cutoff)
+    kwargs = {
+        name: _resolve(getattr(args, f"dsp_{name}", None), file_cfg, f"dsp.{name}", typ, default)
+        for name, typ, default, _ in _DSP_KEYS
+    }
+    kwargs["sensitivity"] = (kwargs["sensitivity"],) * 4
+    return dsp.DspConfig(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

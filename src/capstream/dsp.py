@@ -31,12 +31,14 @@ class DspConfig:
     sensitivity weighs the current sample against the previous one per
     sensor; 0.5 everywhere reduces the weighted difference to the plain
     sequential difference. smooth_window is deliberately small (latency in
-    samples). lpf_cutoff is the low-pass route's cutoff in Hz.
+    samples). lpf_cutoff is the low-pass route's cutoff in Hz; the abstract
+    fixes none, so 20 Hz is this repository's choice, below the 26.5 Hz
+    Nyquist limit of the default 53 Hz rate.
     """
 
     sensitivity: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
     smooth_window: int = 5
-    lpf_cutoff: float = 50.0
+    lpf_cutoff: float = 20.0
 
     def __post_init__(self) -> None:
         if len(self.sensitivity) != NUM_SENSORS:

@@ -7,7 +7,9 @@ contains its event or reaches the IoU threshold.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidParameterError
@@ -58,15 +60,25 @@ def _iou(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 
 def _match(frames: Sequence, events: Sequence) -> list[EventMatch]:
-    """Greedy one-to-one matching by descending overlap size."""
+    """Greedy one-to-one matching by descending overlap size.
+
+    Candidate pairs come from a sweep: events sorted by start with a prefix
+    maximum of their ends, so each frame visits only the events that start
+    before it ends, back to the last one whose prefix reaches its start.
+    """
+    order = sorted(range(len(events)), key=lambda ei: events[ei].start)
+    starts = [events[ei].start for ei in order]
+    reach = list(accumulate((events[ei].end for ei in order), max))
     candidates = []
     for fi, frame in enumerate(frames):
         f_span = (frame.start, frame.end)
-        for ei, ev in enumerate(events):
-            e_span = (ev.start, ev.end)
-            ov = _overlap(f_span, e_span)
+        j = bisect_right(starts, frame.end) - 1
+        while j >= 0 and reach[j] >= frame.start:
+            ei = order[j]
+            ov = _overlap(f_span, (starts[j], events[ei].end))
             if ov > 0:
                 candidates.append((ov, fi, ei))
+            j -= 1
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_frames: set[int] = set()
     used_events: set[int] = set()

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 NUM_SENSORS = 4
-_ROWS_CHUNK = 4096  # columns converted per step of RawStream.rows
+_ROWS_CHUNK = 4096  # columns converted per step of RawStream.rows and the CSV writer
 SENSOR_IDS: tuple[int, int, int, int] = (1, 2, 3, 4)
 
 # A sensor id is a plain int in SENSOR_IDS.

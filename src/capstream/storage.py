@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from .detector import GestureFrame
 from .errors import InvalidParameterError
-from .signals import GestureEvent, LabeledRecording, RawStream
+from .signals import _ROWS_CHUNK, NUM_SENSORS, GestureEvent, LabeledRecording, RawStream
 from .simulate import PhysicsParams
 
 RECORDING_HEADER = ["index", "s1", "s2", "s3", "s4"]
@@ -23,6 +23,7 @@ LABELS_HEADER = ["class_id", "true_start", "true_end"]
 FRAME_INDEX_HEADER = ["k", "start", "end"]
 MANIFEST_NAME = "manifest.txt"
 _DEFAULT_RATE = 53.0
+_ROW_FORMAT = "%d" + ",%.6f" * NUM_SENSORS + "\r\n"
 
 
 def _read_rows(
@@ -66,28 +67,67 @@ def _manifest_rate(directory: Path) -> float:
         ) from None
 
 
-def _write_samples(path: str | Path, rows: Iterable[tuple[int, Iterable[float]]]) -> None:
-    """Recording CSV from (index, (v1, v2, v3, v4)) rows."""
+def _write_samples(path: str | Path, first_index: int, values: np.ndarray) -> None:
+    """Recording CSV of values (4, n), rows numbered from first_index.
+
+    Each chunk of rows is formatted by one % over a repeated row format, so
+    only _ROWS_CHUNK columns exist as Python objects at a time. The bytes are
+    those of csv.writer with f"{v:.6f}" cells and its \\r\\n terminator.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDING_HEADER)
-        for i, row in rows:
-            writer.writerow([i] + [f"{v:.6f}" for v in row])
+        fh.write(",".join(RECORDING_HEADER) + "\r\n")
+        for lo in range(0, values.shape[1], _ROWS_CHUNK):
+            block = values[:, lo : lo + _ROWS_CHUNK]
+            m = block.shape[1]
+            cells = np.empty((m, 1 + NUM_SENSORS), dtype=object)
+            cells[:, 0] = range(first_index + lo, first_index + lo + m)
+            cells[:, 1:] = block.T
+            fh.write((_ROW_FORMAT * m) % tuple(cells.ravel().tolist()))
 
 
 def save_recording(path: str | Path, stream: RawStream) -> None:
-    _write_samples(path, stream.rows())
+    _write_samples(path, 0, stream.values)
+
+
+def _at_first_row(fh: TextIO) -> bool:
+    """Skip empty lines; True with fh positioned at the next row, False at end of file."""
+    while True:
+        pos = fh.tell()
+        line = fh.readline()
+        if not line:
+            return False
+        if line.strip("\r\n"):
+            fh.seek(pos)
+            return True
 
 
 def load_recording(path: str | Path, sampling_rate: float | None = None) -> RawStream:
-    """Read a recording CSV; the rate comes from a sibling manifest unless given."""
+    """Read a recording CSV; the rate comes from a sibling manifest unless given.
+
+    One vectorized parse reads the file. Only when it fails is the file read
+    again row by row, to raise an error naming path:line.
+    """
     path = Path(path)
     if sampling_rate is None:
         sampling_rate = _manifest_rate(path.parent)
-    rows = list(_read_rows(path, RECORDING_HEADER, float, first=1))
-    if not rows:
-        raise InvalidParameterError(f"{path}: recording holds no samples")
-    return RawStream(sampling_rate=sampling_rate, values=np.asarray(rows).T)
+    with open(path, newline="") as fh:
+        if next(csv.reader([fh.readline()]), None) != RECORDING_HEADER:
+            raise InvalidParameterError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
+        if not _at_first_row(fh):
+            raise InvalidParameterError(f"{path}: recording holds no samples")
+        try:
+            values = np.loadtxt(
+                fh, delimiter=",", usecols=(1, 2, 3, 4), comments=None, quotechar='"', ndmin=2
+            )
+        except ValueError as exc:
+            error = exc
+        else:
+            return RawStream(sampling_rate=sampling_rate, values=values.T)
+    for _ in _read_rows(path, RECORDING_HEADER, float, first=1):
+        pass
+    # A cell that Python's float accepts but the vectorized parser does not
+    # (such as "1_000") is still an error: the row reader only diagnoses.
+    raise InvalidParameterError(f"{path}: {error}")
 
 
 def labels_path_for(recording_path: str | Path) -> Path:
@@ -192,8 +232,7 @@ def save_frames(out_dir: str | Path, frames: list[GestureFrame]) -> Path:
             writer.writerow([frame.k, frame.start, frame.end])
     for frame in frames:
         if frame.channels is not None:
-            rows = enumerate(zip(*frame.channels.tolist()), start=frame.start)
-            _write_samples(out_dir / f"frame_{frame.k:04d}.csv", rows)
+            _write_samples(out_dir / f"frame_{frame.k:04d}.csv", frame.start, frame.channels)
     return index_path
 
 

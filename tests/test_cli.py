@@ -202,6 +202,17 @@ class TestProcessAndFft:
             header = next(csv.reader(fh))
         assert header == ["index", "s1s2", "s1s3", "s1s4", "s2s3", "s2s4", "s3s4"]
 
+    def test_process_low_pass_default_cutoff_fits_default_rate(self, session_dir, tmp_path):
+        # The session is at the default 53 Hz, so the default cutoff must lie below 26.5 Hz.
+        out_csv = tmp_path / "lpf.csv"
+        code = main(["process", str(session_dir / "session.csv"), "--scheme", "low-pass",
+                     "--out", str(out_csv)])
+        assert code == EXIT_OK
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "s1", "s2", "s3", "s4"]
+        assert len(rows) - 1 == len(load_recording(session_dir / "session.csv"))
+
     def test_fft_band_table_low_band_dominates(self, tmp_path, capsys, params):
         # High-rate gesture so the reference bands fit under Nyquist.
         rec = generate_gesture(31, 1, params, sampling_rate=1200.0,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from capstream.detector import GestureFrame
 from capstream.errors import InvalidParameterError
-from capstream.metrics import detection_rate, extraction_rate
+from capstream.metrics import EventMatch, detection_rate, extraction_rate
 from capstream.signals import GestureEvent
 
 
@@ -16,6 +16,36 @@ def _frames(spans):
 
 def _events(spans):
     return [GestureEvent(class_id=1, start=s, end=e) for s, e in spans]
+
+
+def _brute_force_matches(frames, events):
+    """O(frames x events) oracle: every overlapping pair, taken greedily by (-overlap, frame, event)."""
+    pairs = []
+    for fi, f in enumerate(frames):
+        for ei, ev in enumerate(events):
+            ov = min(f.end, ev.end) - max(f.start, ev.start) + 1
+            if ov > 0:
+                pairs.append((-ov, fi, ei))
+    pairs.sort()
+    used_frames, assigned = set(), {}
+    for neg_ov, fi, ei in pairs:
+        if fi not in used_frames and ei not in assigned:
+            used_frames.add(fi)
+            assigned[ei] = (fi, -neg_ov)
+    out = []
+    for ei, ev in enumerate(events):
+        if ei not in assigned:
+            out.append(EventMatch(ei, None, 0, 0.0, False))
+            continue
+        fi, ov = assigned[ei]
+        f = frames[fi]
+        union = (f.end - f.start + 1) + (ev.end - ev.start + 1) - ov
+        out.append(EventMatch(ei, fi, ov, ov / union, f.start <= ev.start and f.end >= ev.end))
+    return out
+
+
+# Short spans on a small axis, so nesting, touching ends and equal overlaps are common.
+_span = st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1]))
 
 
 class TestDetectionRate:
@@ -43,6 +73,25 @@ class TestDetectionRate:
         matched = [m for m in report.matches if m.frame_index is not None]
         assert len(matched) == 1
         assert matched[0].event_index == 0
+
+    def test_overlap_ties_go_to_lowest_frame_then_event(self):
+        # Both events overlap the first frame by 5; events are listed out of start order.
+        events = _events([(6, 10), (0, 4)])
+        report = detection_rate(_frames([(0, 10), (0, 10)]), events)
+        assert [(m.event_index, m.frame_index, m.overlap) for m in report.matches] == [
+            (0, 0, 5),
+            (1, 1, 5),
+        ]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_equal_brute_force_oracle(self, data):
+        # Drawing from a shared pool as well yields duplicate frames and events.
+        pool = data.draw(st.lists(_span, min_size=1, max_size=6))
+        span = st.one_of(st.sampled_from(pool), _span)
+        frames = _frames(data.draw(st.lists(span, max_size=10)))
+        events = _events(data.draw(st.lists(span, max_size=10)))
+        assert detection_rate(frames, events).matches == _brute_force_matches(frames, events)
 
     def test_order_invariance(self):
         events = _events([(100, 200), (400, 500), (800, 900)])

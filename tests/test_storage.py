@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
 from capstream.dataset import dataset_tensors, truth_frames
-from capstream.detector import run_detector
+from capstream import storage
+from capstream.detector import GestureFrame, run_detector
 from capstream.errors import InvalidParameterError
-from capstream.signals import GestureEvent
+from capstream.signals import GestureEvent, RawStream
 from capstream.simulate import generate_dataset, generate_gesture
 from capstream.storage import (
     labels_path_for,
@@ -66,6 +71,100 @@ class TestRecordingRoundTrip:
         save_manifest(tmp_path / "manifest.txt", {"sampling_rate": 76.5})
         loaded = load_recording(path)
         assert loaded.sampling_rate == 76.5
+
+
+def _csv_module_bytes(first_index, values):
+    """The recording format as defined: csv.writer rows of the index and f"{v:.6f}" cells."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["index", "s1", "s2", "s3", "s4"])
+    for i, row in enumerate(zip(*values.tolist()), start=first_index):
+        writer.writerow([i] + [f"{v:.6f}" for v in row])
+    return out.getvalue().encode()
+
+
+def _awkward_values(n, seed=0):
+    """(4, n) values with rounding ties, signed zero and wide magnitudes around column 4096."""
+    values = np.random.default_rng(seed).normal(0.0, 300.0, size=(4, n))
+    specials = [-0.0, 5e-7, 2.5e-7, -1.0000005, 123456.7890125, -2.5e-7, 1e9 + 0.5, 0.0]
+    for j, v in enumerate(specials):
+        values[j % 4, 4090 + j] = v
+        values[(j + 1) % 4, 17 + j] = v
+    return values
+
+
+class TestGoldenBytes:
+    """The writer's output equals the csv-module formula, not just itself."""
+
+    def test_recording_bytes_cross_a_chunk_boundary(self, tmp_path):
+        values = _awkward_values(4096 + 37)
+        path = tmp_path / "rec.csv"
+        save_recording(path, RawStream(sampling_rate=53.0, values=values))
+        assert path.read_bytes() == _csv_module_bytes(0, values)
+
+    def test_frame_block_bytes_start_above_zero(self, tmp_path):
+        values = _awkward_values(4096 + 5, seed=1)
+        start = 10**12 + 3
+        frame = GestureFrame(k=1, start=start, end=start + values.shape[1] - 1, channels=values)
+        save_frames(tmp_path / "frames", [frame])
+        got = (tmp_path / "frames" / "frame_0001.csv").read_bytes()
+        assert got == _csv_module_bytes(start, values)
+
+    def test_loaded_values_equal_parsed_text(self, tmp_path):
+        values = _awkward_values(4096 + 37, seed=2)
+        path = tmp_path / "rec.csv"
+        save_recording(path, RawStream(sampling_rate=53.0, values=values))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        expected = np.array([[float(v) for v in row[1:]] for row in rows]).T
+        loaded = load_recording(path, sampling_rate=53.0).values
+        assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
+
+
+class TestReaderEdgeCases:
+    HEADER = "index,s1,s2,s3,s4"
+
+    def _load(self, tmp_path, text, name="rec.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return load_recording(path, sampling_rate=53.0).values
+
+    def test_extra_cells_are_ignored(self, tmp_path):
+        values = self._load(tmp_path, f"{self.HEADER}\n0,1,2,3,4,9\n1,5,6,7,8,9,x\n")
+        np.testing.assert_array_equal(values, [[1, 5], [2, 6], [3, 7], [4, 8]])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        values = self._load(tmp_path, f"{self.HEADER}\n\n0,1,2,3,4\n\n\n1,5,6,7,8\n\n")
+        np.testing.assert_array_equal(values, [[1, 5], [2, 6], [3, 7], [4, 8]])
+
+    def test_quoted_cells_and_crlf_load(self, tmp_path):
+        text = f'{self.HEADER}\r\n0,"1.5",2,"-3",4\r\n"1",5," 6.25",7,8\r\n'
+        values = self._load(tmp_path, text)
+        np.testing.assert_array_equal(values, [[1.5, 5], [2, 6.25], [-3, 7], [4, 8]])
+
+    def test_comment_line_is_a_short_row(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match=r"hash\.csv:3: expected 5 cells, got 1"):
+            self._load(tmp_path, f"{self.HEADER}\n0,1,2,3,4\n# note\n1,1,2,3,4\n", "hash.csv")
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\r\n\r\n"])
+    def test_header_only_raises_without_warning(self, tmp_path, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="holds no samples"):
+                self._load(tmp_path, f"{self.HEADER}\n{tail}")
+
+    def test_cell_only_python_float_accepts_is_rejected(self, tmp_path):
+        # The row reader only diagnoses; it never loads what the parser refused.
+        with pytest.raises(InvalidParameterError, match=r"under\.csv: .*1_000"):
+            self._load(tmp_path, f"{self.HEADER}\n0,1_000,2,3,4\n", "under.csv")
+
+    def test_row_reader_runs_only_after_a_failed_parse(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("row reader used on a well-formed file")
+
+        monkeypatch.setattr(storage, "_read_rows", refuse)
+        values = self._load(tmp_path, f"{self.HEADER}\n0,1,2,3,4\n")
+        np.testing.assert_array_equal(values, [[1], [2], [3], [4]])
 
 
 class TestLabelsAndManifest:
