@@ -15,6 +15,8 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
+
 from . import classifier, dataset, dsp, metrics, runtime, simulate, storage
 from .detector import DetectorConfig, detect_frames
 from .errors import CapstreamError, ConfigError, InvalidParameterError
@@ -25,15 +27,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_DETECTOR_DEFAULTS = DetectorConfig()
 _DETECTOR_KEYS = (
-    ("phi", float, 20.0, "added to the window's mean excess over the offset at each threshold update; not a floor [V]"),
-    ("update_period", int, 318, "offset/threshold refresh period [samples]"),
-    ("pre_pad", int, 70, "frame padding before the upward crossing [samples]"),
-    ("post_pad", int, 70, "frame padding after the downward crossing [samples]"),
-    ("safety_period", int, 159, "max dwell above threshold before recompute [samples]"),
-    ("init_period", int, 530, "offset initialization span [samples]"),
-    ("warmup_period", int, 424, "no emissions before this index [samples]"),
-    ("max_crossing_window", int, 50, "crisp crossing-pair dwell bound [samples]"),
+    ("phi", float, _DETECTOR_DEFAULTS.phi, "added to the window's mean excess over the offset at each threshold update; not a floor [V]"),
+    ("update_period", int, _DETECTOR_DEFAULTS.update_period, "offset/threshold refresh period [samples]"),
+    ("pre_pad", int, _DETECTOR_DEFAULTS.pre_pad, "frame padding before the upward crossing [samples]"),
+    ("post_pad", int, _DETECTOR_DEFAULTS.post_pad, "frame padding after the downward crossing [samples]"),
+    ("safety_period", int, _DETECTOR_DEFAULTS.safety_period, "max dwell above threshold before recompute [samples]"),
+    ("init_period", int, _DETECTOR_DEFAULTS.init_period, "offset initialization span [samples]"),
+    ("warmup_period", int, _DETECTOR_DEFAULTS.warmup_period, "no emissions before this index [samples]"),
+    ("max_crossing_window", int, _DETECTOR_DEFAULTS.max_crossing_window, "crisp crossing-pair dwell bound [samples]"),
 )
 
 _SCHEMES = ("weighted-diff", "literal-sum", "pairwise-diff", "low-pass")
@@ -56,12 +59,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             default=None,
             help=f"detector: {help_text} (default: {default})",
         )
-    parser.add_argument(
-        "--merge-policy",
-        choices=("union", "paper-literal"),
-        default=None,
-        help="detector: cross-sensor frame merge rule [policy] (default: union)",
-    )
     for name, typ, default, help_text in _DSP_KEYS:
         parser.add_argument(
             f"--{name.replace('_', '-')}",
@@ -93,15 +90,10 @@ def _load_config_file(path: str | None) -> dict[str, str]:
 
 
 def _detector_config(args, file_cfg: dict[str, str]) -> DetectorConfig:
-    kwargs = {}
-    for name, typ, default, _ in _DETECTOR_KEYS:
-        kwargs[name] = _resolve(
-            getattr(args, f"det_{name}", None), file_cfg, f"detector.{name}", typ, default
-        )
-    kwargs["merge_policy"] = _resolve(
-        getattr(args, "merge_policy", None), file_cfg, "detector.merge_policy", str, "union"
-    )
-    return DetectorConfig(**kwargs)
+    return DetectorConfig(**{
+        name: _resolve(getattr(args, f"det_{name}", None), file_cfg, f"detector.{name}", typ, default)
+        for name, typ, default, _ in _DETECTOR_KEYS
+    })
 
 
 def _dsp_config(args, file_cfg: dict[str, str]) -> dsp.DspConfig:
@@ -256,16 +248,18 @@ def _cmd_process(args, file_cfg) -> int:
             dsp.low_pass(channel, cfg.lpf_cutoff, stream.sampling_rate)
             for channel in stream.values
         ]
-    rows = [
-        [i] + [f"{v:.6f}" for v in row]
-        for i, row in enumerate(zip(*columns), start=first)
-    ]
-    _write_csv(args.out, header, rows)
+    with _open_out(args.out) as fh:
+        storage._write_samples(fh, header, first, np.asarray(columns))
     return EXIT_OK
 
 
+def _open_out(out_path):
+    """The file at out_path opened for writing CSV, or stdout without a path."""
+    return open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+
+
 def _write_csv(out_path, header, rows) -> None:
-    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as fh:
+    with _open_out(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

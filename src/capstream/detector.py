@@ -24,9 +24,6 @@ from .signals import NUM_SENSORS, ProcessedStream, RawStream
 
 log = logging.getLogger(__name__)
 
-MERGE_POLICIES = ("union", "paper-literal")
-
-
 @dataclass
 class DetectorConfig:
     """Detection parameters; defaults are the reference values at 53 Hz.
@@ -51,7 +48,6 @@ class DetectorConfig:
     init_period: int = 530        # offset initialization span (10 s)
     warmup_period: int = 424      # no emissions before this index (8 s)
     max_crossing_window: int = 50 # dwell above threshold considered a crisp crossing pair
-    merge_policy: str = "union"
 
     def __post_init__(self) -> None:
         for name in (
@@ -67,8 +63,6 @@ class DetectorConfig:
                 raise InvalidParameterError(f"{name} must be > 0")
         if self.phi <= 0:
             raise InvalidParameterError("phi must be > 0")
-        if self.merge_policy not in MERGE_POLICIES:
-            raise InvalidParameterError(f"merge_policy must be one of {MERGE_POLICIES}")
 
     @property
     def capacity(self) -> int:
@@ -492,15 +486,8 @@ class AdaptiveThresholdDetector:
         for s in range(NUM_SENSORS):
             if self._start[s] != 0 or self._end[s] != 0:
                 return None
-        if self.cfg.merge_policy == "union":
-            start = min(f[0] for fs in frames for f in fs)
-            end = max(f[1] for fs in frames for f in fs)
-        else:
-            # Literal merge: the last-iterated sensor with frames wins.
-            start = end = 0
-            for fs in frames:
-                if fs:
-                    start, end = fs[-1]
+        start = min(f[0] for fs in frames for f in fs)
+        end = max(f[1] for fs in frames for f in fs)
         if end > j or start == 0 or end == 0:
             return None
         frame = GestureFrame(

@@ -1,9 +1,13 @@
 """Streaming orchestration: sources, the background pipeline, and the consumer.
 
-The pipeline runs three workers connected by bounded queues: conditioning +
-detection, classification, and emission. The emitter writes NDJSON command
-messages to a TCP peer (with bounded reconnect backoff) and always appends
-them to the log sink, so classification results survive peer loss.
+The pipeline has two stages joined by one bounded frame queue: the calling
+thread reads the source and runs conditioning + detection, and one worker
+thread classifies each frame and emits its message. The emitter writes NDJSON
+command messages to a TCP peer (with bounded reconnect backoff) and always
+appends them to the log sink, so classification results survive peer loss.
+Its backoff runs on the worker: with the peer down, each message can hold the
+worker for the whole connect cycle, and once the frame queue fills, detection
+waits for it.
 """
 from __future__ import annotations
 
@@ -54,19 +58,19 @@ class FileReplaySource:
         sampling_rate: float | None = None,
         pacing: str = "unpaced",
     ) -> None:
-        if pacing not in PACING_MODES:
-            raise InvalidParameterError(f"pacing must be one of {PACING_MODES}")
-        self.stream = load_recording(path, sampling_rate=sampling_rate)
-        self.pacing = pacing
+        self._init(load_recording(path, sampling_rate=sampling_rate), pacing)
 
     @classmethod
     def from_stream(cls, stream: RawStream, pacing: str = "unpaced") -> "FileReplaySource":
         src = cls.__new__(cls)
+        src._init(stream, pacing)
+        return src
+
+    def _init(self, stream: RawStream, pacing: str) -> None:
         if pacing not in PACING_MODES:
             raise InvalidParameterError(f"pacing must be one of {PACING_MODES}")
-        src.stream = stream
-        src.pacing = pacing
-        return src
+        self.stream = stream
+        self.pacing = pacing
 
     @property
     def sampling_rate(self) -> float:
@@ -211,7 +215,7 @@ class _Emitter:
 
 
 class _Stopped(Exception):
-    """A worker gave up because another one failed."""
+    """The calling thread stops feeding because the worker failed."""
 
 
 def run_pipeline(
@@ -219,65 +223,86 @@ def run_pipeline(
     cfg: PipelineConfig,
     model: ClassifierModel,
 ) -> PipelineResult:
-    """Drive source -> conditioning+detection -> classification -> emission.
+    """Drive source -> conditioning+detection -> classification+emission.
 
-    Stages run as independent workers over bounded FIFO queues; a full queue
-    throttles the upstream stage rather than dropping samples. The detect
-    worker buffers rows up to the detector's next_emit_index and feeds them
-    as one block, so no frame is held past the row that closes it. Returns
-    once the source ends and the emitter has flushed; the first error of any
-    stage stops every worker and is raised here.
+    The calling thread reads the source, conditions and detects; one worker
+    thread classifies each frame and emits its message. A full frame queue
+    throttles detection rather than dropping samples. Rows are buffered up
+    to the detector's next_emit_index and fed as one block, so no frame is
+    held past the row that closes it. Returns once the source ends and the
+    last message is emitted; the first error on either side stops both and
+    is raised here, after the worker has ended.
     """
     rate = source.sampling_rate
-    capacity = cfg.capacity_for(rate)
-    frame_q: queue.Queue = queue.Queue(maxsize=capacity)
-    msg_q: queue.Queue = queue.Queue(maxsize=capacity)
+    frame_q: queue.Queue = queue.Queue(maxsize=cfg.capacity_for(rate))
     stop = threading.Event()
     t_start = time.monotonic()
     samples = 0
-    frames = 0
-    delivered = 0
     max_latency = 0.0
     messages: list[CommandMessage] = []
     errors: list[BaseException] = []
+    emitter = _Emitter(cfg)
 
-    def put(q: queue.Queue, item) -> None:
+    def classify_and_emit() -> None:
+        nonlocal max_latency
+        try:
+            while not stop.is_set():
+                try:
+                    item = frame_q.get(timeout=_POLL_S)
+                except queue.Empty:
+                    continue
+                if item is None:
+                    return
+                frame, t_emit = item
+                pred = model.predict(frame_to_tensor(frame))
+                msg = CommandMessage.for_class(
+                    class_id=pred.class_id,
+                    frame_index=frame.k,
+                    timestamp_ms=int(round(frame.end / rate * 1000.0)),
+                    probability=float(pred.probabilities.max()),
+                )
+                emitter.emit(msg)
+                messages.append(msg)
+                max_latency = max(max_latency, (time.monotonic() - t_emit) * 1000.0)
+        except BaseException as exc:  # raised by run_pipeline
+            errors.append(exc)
+            stop.set()
+        finally:
+            emitter.close()
+
+    def put(item) -> None:
         while not stop.is_set():
             try:
-                q.put(item, timeout=_POLL_S)
+                frame_q.put(item, timeout=_POLL_S)
                 return
             except queue.Full:
                 pass
         raise _Stopped
 
-    def get(q: queue.Queue):
-        while not stop.is_set():
-            try:
-                return q.get(timeout=_POLL_S)
-            except queue.Empty:
-                pass
-        raise _Stopped
+    conditioner = StreamingConditioner(cfg.dsp)
+    detector = AdaptiveThresholdDetector(cfg.detector)
+    rows: list = []  # flat raw rows expected - len(rows) // 4 .. expected - 1
+    expected = None
+    horizon = detector.next_emit_index
 
-    def detect_worker() -> None:
-        conditioner = StreamingConditioner(cfg.dsp)
-        detector = AdaptiveThresholdDetector(cfg.detector)
-        rows: list = []  # flat raw rows expected - len(rows) // 4 .. expected - 1
-        expected = None
+    def flush() -> None:
+        nonlocal samples, horizon
+        block = np.array(rows, dtype=np.float64).reshape(-1, NUM_SENSORS).T
+        processed = conditioner.push_block(block)
+        samples += block.shape[1]
+        rows.clear()
+        # The processed columns belong to the last rows of the block.
+        for frame in detector.push_block(expected - processed.shape[1], processed):
+            put((frame, time.monotonic()))
         horizon = detector.next_emit_index
+        if stop.is_set():
+            raise _Stopped
 
-        def flush() -> None:
-            nonlocal samples, horizon
-            block = np.array(rows, dtype=np.float64).reshape(-1, NUM_SENSORS).T
-            processed = conditioner.push_block(block)
-            samples += block.shape[1]
-            rows.clear()
-            # The processed columns belong to the last rows of the block.
-            for frame in detector.push_block(expected - processed.shape[1], processed):
-                put(frame_q, (frame, time.monotonic()))
-            horizon = detector.next_emit_index
-            if stop.is_set():
-                raise _Stopped
-
+    # Daemon thread: if the caller is interrupted while joining it, a worker
+    # stuck on the socket cannot keep the process alive.
+    worker = threading.Thread(target=classify_and_emit, name="capstream-classify", daemon=True)
+    worker.start()
+    try:
         for idx, row in source.rows():
             if idx != expected and expected is not None:
                 # A gap: feed what is buffered, then the stray row on its
@@ -291,85 +316,30 @@ def run_pipeline(
                 flush()
         if rows:
             flush()
-        put(frame_q, None)
-
-    def classify_worker() -> None:
-        while True:
-            item = get(frame_q)
-            if item is None:
-                break
-            frame, t_emit = item
-            pred = model.predict(frame_to_tensor(frame))
-            timestamp_ms = int(round(frame.end / rate * 1000.0))
-            msg = CommandMessage.for_class(
-                class_id=pred.class_id,
-                frame_index=frame.k,
-                timestamp_ms=timestamp_ms,
-                probability=float(pred.probabilities.max()),
-            )
-            put(msg_q, (msg, t_emit))
-        put(msg_q, None)
-
-    def emit_worker() -> None:
-        nonlocal frames, delivered, max_latency
-        emitter = _Emitter(cfg)
-        try:
-            while True:
-                item = get(msg_q)
-                if item is None:
-                    break
-                msg, t_emit = item
-                emitter.emit(msg)
-                frames += 1
-                messages.append(msg)
-                max_latency = max(max_latency, (time.monotonic() - t_emit) * 1000.0)
-        finally:
-            delivered = emitter.delivered
-            emitter.close()
-
-    def guarded(work: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            try:
-                work()
-            except _Stopped:
-                pass
-            except BaseException as exc:  # the first one is raised by run_pipeline
-                errors.append(exc)
-                stop.set()
-
-        return run
-
-    # Daemon threads: a worker stuck in a source read cannot keep the
-    # process alive once the caller has gone.
-    workers = [
-        threading.Thread(target=guarded(work), name=f"capstream-{name}", daemon=True)
-        for name, work in (
-            ("detect", detect_worker),
-            ("classify", classify_worker),
-            ("emit", emit_worker),
-        )
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+        put(None)
+    except _Stopped:
+        pass  # the worker failed; its error is raised below
+    except BaseException as exc:
+        errors.append(exc)
+        stop.set()
+    worker.join()
     if errors:
         raise errors[0]
     wall = time.monotonic() - t_start
     log.info(
         "pipeline done: %d samples, %d frames, %.2fs wall, max latency %.1f ms",
         samples,
-        frames,
+        len(messages),
         wall,
         max_latency,
     )
     return PipelineResult(
         messages=messages,
-        frames=frames,
+        frames=len(messages),
         samples=samples,
         wall_seconds=wall,
         max_latency_ms=max_latency,
-        socket_delivered=delivered,
+        socket_delivered=emitter.delivered,
     )
 
 

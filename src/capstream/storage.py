@@ -8,6 +8,7 @@ layout first.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .detector import GestureFrame
 from .errors import InvalidParameterError
-from .signals import _ROWS_CHUNK, NUM_SENSORS, GestureEvent, LabeledRecording, RawStream
+from .signals import _ROWS_CHUNK, GestureEvent, LabeledRecording, RawStream
 from .simulate import PhysicsParams
 
 RECORDING_HEADER = ["index", "s1", "s2", "s3", "s4"]
@@ -23,7 +24,6 @@ LABELS_HEADER = ["class_id", "true_start", "true_end"]
 FRAME_INDEX_HEADER = ["k", "start", "end"]
 MANIFEST_NAME = "manifest.txt"
 _DEFAULT_RATE = 53.0
-_ROW_FORMAT = "%d" + ",%.6f" * NUM_SENSORS + "\r\n"
 
 
 def _read_rows(
@@ -67,26 +67,28 @@ def _manifest_rate(directory: Path) -> float:
         ) from None
 
 
-def _write_samples(path: str | Path, first_index: int, values: np.ndarray) -> None:
-    """Recording CSV of values (4, n), rows numbered from first_index.
+def _write_samples(fh: TextIO, header: list[str], first_index: int, values: np.ndarray) -> None:
+    """Write header, then one row per column of values (k, n), numbered from first_index.
 
     Each chunk of rows is formatted by one % over a repeated row format, so
     only _ROWS_CHUNK columns exist as Python objects at a time. The bytes are
     those of csv.writer with f"{v:.6f}" cells and its \\r\\n terminator.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(RECORDING_HEADER) + "\r\n")
-        for lo in range(0, values.shape[1], _ROWS_CHUNK):
-            block = values[:, lo : lo + _ROWS_CHUNK]
-            m = block.shape[1]
-            cells = np.empty((m, 1 + NUM_SENSORS), dtype=object)
-            cells[:, 0] = range(first_index + lo, first_index + lo + m)
-            cells[:, 1:] = block.T
-            fh.write((_ROW_FORMAT * m) % tuple(cells.ravel().tolist()))
+    k = values.shape[0]
+    row_format = "%d" + ",%.6f" * k + "\r\n"
+    fh.write(",".join(header) + "\r\n")
+    for lo in range(0, values.shape[1], _ROWS_CHUNK):
+        block = values[:, lo : lo + _ROWS_CHUNK]
+        m = block.shape[1]
+        cells = np.empty((m, 1 + k), dtype=object)
+        cells[:, 0] = range(first_index + lo, first_index + lo + m)
+        cells[:, 1:] = block.T
+        fh.write((row_format * m) % tuple(cells.ravel().tolist()))
 
 
 def save_recording(path: str | Path, stream: RawStream) -> None:
-    _write_samples(path, 0, stream.values)
+    with open(path, "w", newline="") as fh:
+        _write_samples(fh, RECORDING_HEADER, 0, stream.values)
 
 
 def _at_first_row(fh: TextIO) -> bool:
@@ -166,24 +168,9 @@ def load_manifest(path: str | Path) -> dict[str, str]:
 def manifest_entries(
     seed: int, sampling_rate: float, params: PhysicsParams, **extra
 ) -> dict:
-    entries = {"seed": seed, "sampling_rate": sampling_rate}
-    entries.update(
-        {
-            "dielectric_constant": params.dielectric_constant,
-            "plate_area": params.plate_area,
-            "coulomb_constant": params.coulomb_constant,
-            "charge_q1": params.charge_q1,
-            "charge_q2": params.charge_q2,
-            "distance_min": params.distance_min,
-            "distance_max": params.distance_max,
-            "capacity_omega": params.capacity_omega,
-            "discharge_period": params.discharge_period,
-            "idle_sigma": params.idle_sigma,
-            "baselines": ",".join(str(b) for b in params.baselines),
-        }
-    )
-    entries.update(extra)
-    return entries
+    entries = {"seed": seed, "sampling_rate": sampling_rate} | dataclasses.asdict(params)
+    entries["baselines"] = ",".join(str(b) for b in params.baselines)
+    return entries | extra
 
 
 def save_dataset(
@@ -232,7 +219,8 @@ def save_frames(out_dir: str | Path, frames: list[GestureFrame]) -> Path:
             writer.writerow([frame.k, frame.start, frame.end])
     for frame in frames:
         if frame.channels is not None:
-            _write_samples(out_dir / f"frame_{frame.k:04d}.csv", frame.start, frame.channels)
+            with open(out_dir / f"frame_{frame.k:04d}.csv", "w", newline="") as fh:
+                _write_samples(fh, RECORDING_HEADER, frame.start, frame.channels)
     return index_path
 
 

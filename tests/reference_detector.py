@@ -161,14 +161,8 @@ class ReferenceDetector:
         for s in range(NUM_SENSORS):
             if self._start[s] != 0 or self._end[s] != 0:
                 return None
-        if self.cfg.merge_policy == "union":
-            start = min(f[0] for fs in frames for f in fs)
-            end = max(f[1] for fs in frames for f in fs)
-        else:
-            start = end = 0
-            for fs in frames:
-                if fs:
-                    start, end = fs[-1]
+        start = min(f[0] for fs in frames for f in fs)
+        end = max(f[1] for fs in frames for f in fs)
         if end > j or start == 0 or end == 0:
             return None
         frame = GestureFrame(k=self._k + 1, start=start, end=end, channels=self._slice(start, end))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,27 @@ class TestProcessAndFft:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "s1", "s2", "s3", "s4"]
         assert len(rows) - 1 == len(load_recording(session_dir / "session.csv"))
+
+    @pytest.mark.parametrize("scheme", ["weighted-diff", "literal-sum", "pairwise-diff", "low-pass"])
+    def test_process_stdout_equals_file_in_csv_module_format(self, session_dir, tmp_path, capsys, scheme):
+        recording = str(session_dir / "session.csv")
+        out_csv = tmp_path / "out.csv"
+        assert main(["process", recording, "--scheme", scheme, "--out", str(out_csv)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["process", recording, "--scheme", scheme]) == EXIT_OK
+        text = out_csv.read_bytes().decode()
+        lines = text.splitlines(keepends=True)  # lists keep a failing diff short
+        assert capsys.readouterr().out.splitlines(keepends=True) == lines
+        # The rows csv.writer gives for six-decimal cells, indices counting up by one.
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(rows[0])
+        first = int(rows[1][0])
+        writer.writerows(
+            [i] + [f"{float(v):.6f}" for v in row[1:]] for i, row in enumerate(rows[1:], start=first)
+        )
+        assert expected.getvalue().splitlines(keepends=True) == lines
 
     def test_fft_band_table_low_band_dominates(self, tmp_path, capsys, params):
         # High-rate gesture so the reference bands fit under Nyquist.

@@ -226,17 +226,8 @@ class TestStep:
         frames = _drive(det, trace)
         assert [(f.start, f.end) for f in frames] == [(730, 910)]
 
-    def test_paper_literal_merge_takes_last_sensor(self):
-        cfg = DetectorConfig(init_period=200, merge_policy="paper-literal")
-        det = AdaptiveThresholdDetector(cfg)
-        trace = np.zeros((4, 1200))
-        trace[0, 500:540] = 100.0  # sensor 1
-        trace[3, 510:550] = 100.0  # sensor 4 crosses later
-        frames = _drive(det, trace)
-        assert [(f.start, f.end) for f in frames] == [(440, 620)]
-
     def test_union_merge_covers_both_sensors(self):
-        cfg = DetectorConfig(init_period=200, merge_policy="union")
+        cfg = DetectorConfig(init_period=200)
         det = AdaptiveThresholdDetector(cfg)
         trace = np.zeros((4, 1200))
         trace[0, 500:540] = 100.0
@@ -363,8 +354,6 @@ class TestDetectorConfig:
     def test_invalid_values(self):
         with pytest.raises(InvalidParameterError):
             DetectorConfig(phi=0.0)
-        with pytest.raises(InvalidParameterError):
-            DetectorConfig(merge_policy="max")
 
     def test_frame_invariants(self):
         with pytest.raises(InvalidParameterError):
@@ -480,14 +469,6 @@ class TestBlockParity:
                 returned_at.append(j)
         # Each frame is returned on the row that closes it.
         assert returned_at == [f.end for f in ref]
-
-    def test_paper_literal_merge_matches_reference(self, parity_case):
-        processed, _, _ = parity_case
-        cfg = DetectorConfig(merge_policy="paper-literal")
-        ref, ref_diag = reference_frames(processed.start_index, processed.values, cfg)
-        det = AdaptiveThresholdDetector(cfg)
-        _frames_equal(det.push_block(processed.start_index, processed.values), ref)
-        assert det.diagnostics == ref_diag
 
 
 class TestPushBlock:

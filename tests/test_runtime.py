@@ -250,6 +250,45 @@ class TestPipelineFailures:
         assert str(piped.value) == str(per_row.value) == "expected index 1000, got 1100"
 
 
+class _RowSource:
+    """Yields the given (index, row) pairs; raises OSError at index fail_at."""
+
+    sampling_rate = 53.0
+
+    def __init__(self, rows, fail_at=None):
+        self._rows = rows
+        self.fail_at = fail_at
+
+    def rows(self):
+        for idx, row in self._rows:
+            if idx == self.fail_at:
+                raise OSError("source broke")
+            yield idx, row
+
+
+class TestNoThreadOutlivesTheRun:
+    @pytest.mark.parametrize("case", ["returns", "classifier", "ordering", "source"])
+    def test_no_capstream_thread_alive_after_run(self, case, session_10, plumbing_model):
+        rows = list(session_10.stream.rows())
+        source, model, error = _RowSource(rows), plumbing_model, None
+        if case == "classifier":
+            model, error = _FailingModel(), RuntimeError
+        elif case == "ordering":
+            source, error = _RowSource(rows[:1000] + rows[1100:]), OrderingError
+        elif case == "source":
+            source, error = _RowSource(rows, fail_at=len(rows) // 2), OSError
+        out = _run_with_deadline(
+            lambda: run_pipeline(source, PipelineConfig(queue_capacity=2), model), 30.0
+        )
+        if error is None:
+            assert "error" not in out, out.get("error")
+            assert out["result"].frames > 0
+        else:
+            assert isinstance(out.get("error"), error)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("capstream-")]
+        assert alive == []
+
+
 class TestEmitHorizon:
     def test_no_frame_is_held_past_its_closing_row(self, session_10, plumbing_model):
         """After yielding a frame's end row, the source waits for its prediction.
