@@ -1,6 +1,7 @@
 """capstream command line: every pipeline stage as a subcommand.
 
-Numeric flags fall back to ``--config`` file values (key=value lines with
+Each subcommand registers only the options its handler reads. The detector
+and dsp flags fall back to ``--config`` file values (key=value lines with
 module-prefixed keys, e.g. ``detector.phi=20``) and then to the built-in
 defaults, so experiment configs are diff-friendly and flags win.
 """
@@ -20,6 +21,7 @@ import numpy as np
 from . import classifier, dataset, dsp, metrics, runtime, simulate, storage
 from .detector import DetectorConfig, detect_frames
 from .errors import CapstreamError, ConfigError, InvalidParameterError
+from .signals import validate_sampling_rate
 
 log = logging.getLogger(__name__)
 
@@ -39,34 +41,32 @@ _DETECTOR_KEYS = (
     ("max_crossing_window", int, _DETECTOR_DEFAULTS.max_crossing_window, "crisp crossing-pair dwell bound [samples]"),
 )
 
-_SCHEMES = ("weighted-diff", "literal-sum", "pairwise-diff", "low-pass")
+_SCHEMES = ("weighted-diff", "pairwise-diff", "low-pass")
 
 _DSP_DEFAULTS = dsp.DspConfig()
-# The CLI sets one sensitivity for all four sensors.
+# The CLI sets one sensitivity for all four sensors. weighted_smoothed_difference
+# reads the first two keys; lpf_cutoff serves only process --scheme low-pass.
 _DSP_KEYS = (
     ("sensitivity", float, _DSP_DEFAULTS.sensitivity[0], "weight on the current vs previous sample [0..1]"),
     ("smooth_window", int, _DSP_DEFAULTS.smooth_window, "moving-average window [samples]"),
     ("lpf_cutoff", float, _DSP_DEFAULTS.lpf_cutoff, "low-pass cutoff [Hz]"),
 )
+_CONFIG_KEYS = {f"detector.{k[0]}" for k in _DETECTOR_KEYS} | {f"dsp.{k[0]}" for k in _DSP_KEYS}
+_DETECT_TABLES = (("detector", _DETECTOR_KEYS), ("dsp", _DSP_KEYS[:2]))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for name, typ, default, help_text in _DETECTOR_KEYS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}",
-            dest=f"det_{name}",
-            type=typ,
-            default=None,
-            help=f"detector: {help_text} (default: {default})",
-        )
-    for name, typ, default, help_text in _DSP_KEYS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}",
-            dest=f"dsp_{name}",
-            type=typ,
-            default=None,
-            help=f"dsp: {help_text} (default: {default})",
-        )
+def _add_tuning_flags(parser: argparse.ArgumentParser, tables) -> None:
+    """--config and one flag per key of each (table, keys) pair."""
+    parser.add_argument("--config", default=None, help="key=value config file [path] (default: none)")
+    for table, keys in tables:
+        for name, typ, default, help_text in keys:
+            parser.add_argument(
+                f"--{name.replace('_', '-')}",
+                dest=f"{table}_{name}",
+                type=typ,
+                default=None,
+                help=f"{table}: {help_text} (default: {default})",
+            )
 
 
 def _resolve(explicit, file_cfg: dict[str, str], key: str, typ, default):
@@ -86,12 +86,17 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    return storage.load_manifest(p)
+    file_cfg = storage.load_manifest(p)
+    for key in file_cfg:
+        # Keys without a table prefix, such as manifest keys, pass through.
+        if key.startswith(("detector.", "dsp.")) and key not in _CONFIG_KEYS:
+            raise ConfigError(f"config key {key}: no such detector or dsp setting")
+    return file_cfg
 
 
 def _detector_config(args, file_cfg: dict[str, str]) -> DetectorConfig:
     return DetectorConfig(**{
-        name: _resolve(getattr(args, f"det_{name}", None), file_cfg, f"detector.{name}", typ, default)
+        name: _resolve(getattr(args, f"detector_{name}", None), file_cfg, f"detector.{name}", typ, default)
         for name, typ, default, _ in _DETECTOR_KEYS
     })
 
@@ -110,12 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capstream",
         description="Capacitive gesture streaming: simulate, condition, detect, classify, serve.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed [integer] (default: 0)")
-    common.add_argument("--config", default=None, help="key=value config file [path] (default: none)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate synthetic recordings", parents=[common])
+    p = sub.add_parser("simulate", help="generate synthetic recordings")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed [integer] (default: 0)")
     p.add_argument("--mode", choices=("dataset", "session", "idle"), default="dataset",
                    help="dataset: one gesture per file; session: one long multi-gesture file; idle: background only [mode] (default: dataset)")
     p.add_argument("--classes", type=int, default=10, help="number of gesture classes, ids 1..N [count] (default: 10)")
@@ -124,15 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idle-seconds", type=float, default=600.0, help="idle stream length for --mode idle [seconds] (default: 600.0)")
     p.add_argument("--out", required=True, help="output directory [path] (required)")
 
-    p = sub.add_parser("process", help="condition a recording and write the processed CSV", parents=[common])
+    p = sub.add_parser("process", help="condition a recording and write the processed CSV")
     p.add_argument("recording", help="input recording CSV [path]")
     p.add_argument("--scheme", choices=_SCHEMES, default="weighted-diff",
                    help="conditioning scheme [name] (default: weighted-diff)")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--out", default=None, help="output CSV [path] (default: stdout)")
-    _add_config_flags(p)
+    _add_tuning_flags(p, [("dsp", _DSP_KEYS)])
 
-    p = sub.add_parser("fft", help="magnitude spectrum and band statistics of one channel", parents=[common])
+    p = sub.add_parser("fft", help="magnitude spectrum and band statistics of one channel")
     p.add_argument("recording", help="input recording CSV [path]")
     p.add_argument("--channel", type=int, default=1, help="sensor channel to analyze [1..4] (default: 1)")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
@@ -140,13 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="colon ranges like 1:100,100:200 [Hz] (default: reference bands clipped to Nyquist)")
     p.add_argument("--out", default=None, help="spectrum CSV freq,magnitude [path] (default: stdout)")
 
-    p = sub.add_parser("detect", help="run the adaptive-threshold detector over a recording", parents=[common])
+    p = sub.add_parser("detect", help="run the adaptive-threshold detector over a recording")
     p.add_argument("recording", help="input recording CSV [path]")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--out-dir", default=None, help="directory for frame CSV blocks and index [path] (default: <recording>.frames)")
-    _add_config_flags(p)
+    _add_tuning_flags(p, _DETECT_TABLES)
 
-    p = sub.add_parser("train", help="train the gesture classifier on a dataset directory", parents=[common])
+    p = sub.add_parser("train", help="train the gesture classifier on a dataset directory")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed [integer] (default: 0)")
     p.add_argument("--data", required=True, help="dataset directory from simulate [path] (required)")
     p.add_argument("--cell", choices=classifier.CELL_TYPES, default="gru", help="recurrent cell type [name] (default: gru)")
     p.add_argument("--out", required=True, help="output model file [path] (required)")
@@ -155,22 +159,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=0.005, help="gradient-descent step [1/step] (default: 0.005)")
     p.add_argument("--hidden", type=int, default=20, help="recurrent hidden units [count] (default: 20)")
     p.add_argument("--frame-length", type=int, default=256, help="resampled frame length [samples] (default: 256)")
-    _add_config_flags(p)
+    _add_tuning_flags(p, _DETECT_TABLES)
 
-    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory", parents=[common])
+    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory")
     p.add_argument("--model", required=True, help="model file from train [path] (required)")
     p.add_argument("--data", required=True, help="dataset directory [path] (required)")
     p.add_argument("--frame-length", type=int, default=256, help="resampled frame length [samples] (default: 256)")
     p.add_argument("--csv-out", default=None, help="metrics CSV [path] (default: stdout table only)")
-    _add_config_flags(p)
+    _add_tuning_flags(p, _DETECT_TABLES)
 
-    p = sub.add_parser("eval-detect", help="score emitted frames against ground-truth labels", parents=[common])
+    p = sub.add_parser("eval-detect", help="score emitted frames against ground-truth labels")
     p.add_argument("frames", help="frames_index.csv from detect [path]")
     p.add_argument("labels", help="labels CSV [path]")
     p.add_argument("--iou-min", type=float, default=0.8, help="IoU threshold for correct extraction [0..1] (default: 0.8)")
     p.add_argument("--csv-out", default=None, help="report CSV [path] (default: stdout table only)")
 
-    p = sub.add_parser("run", help="replay or ingest a stream and emit command messages", parents=[common])
+    p = sub.add_parser("run", help="replay or ingest a stream and emit command messages")
     p.add_argument("--source", required=True,
                    help="file:PATH to replay, or live:HOST:PORT for a byte stream [spec] (required)")
     p.add_argument("--model", required=True, help="trained model file [path] (required)")
@@ -179,10 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unpaced", action="store_true", help="replay at full speed instead of the sampling rate (default: off)")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--log", default=None, help="NDJSON message log [path] (default: none)")
-    p.add_argument("--frame-length", type=int, default=256, help="resampled frame length [samples] (default: 256)")
-    _add_config_flags(p)
+    _add_tuning_flags(p, _DETECT_TABLES)
 
-    p = sub.add_parser("consume", help="listen for command messages and print them", parents=[common])
+    p = sub.add_parser("consume", help="listen for command messages and print them")
     p.add_argument("--listen", default="127.0.0.1:7171", help="listen endpoint [host:port] (default: 127.0.0.1:7171)")
     p.add_argument("--max-messages", type=int, default=None, help="stop after N messages [count] (default: unlimited)")
 
@@ -232,12 +235,8 @@ def _cmd_process(args, file_cfg) -> int:
     cfg = _dsp_config(args, file_cfg)
     header = storage.RECORDING_HEADER
     first = 0
-    if args.scheme in ("weighted-diff", "literal-sum"):
-        condition = (
-            dsp.weighted_smoothed_difference if args.scheme == "weighted-diff"
-            else dsp.literal_weighted_sum
-        )
-        processed = condition(stream, cfg)
+    if args.scheme == "weighted-diff":
+        processed = dsp.weighted_smoothed_difference(stream, cfg)
         first, columns = processed.start_index, processed.values
     elif args.scheme == "pairwise-diff":
         pairs = dsp.sensor_pairs()
@@ -379,8 +378,10 @@ def _cmd_run(args, file_cfg) -> int:
     pacing = "unpaced" if args.unpaced else "realtime"
     if args.source.startswith("live:"):
         host, port = _parse_endpoint(args.source[5:])
+        # Checked before connecting: a bad rate exits 2 without opening a connection.
+        rate = validate_sampling_rate(53.0 if args.rate is None else args.rate)
         conn = socket_module.create_connection((host, port))
-        source = runtime.LiveByteSource(conn.makefile("rb"), sampling_rate=args.rate or 53.0)
+        source = runtime.LiveByteSource(conn.makefile("rb"), sampling_rate=rate)
     else:
         path = args.source.removeprefix("file:")
         source = runtime.FileReplaySource(path, sampling_rate=args.rate, pacing=pacing)
@@ -426,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config)
+        file_cfg = _load_config_file(getattr(args, "config", None))
         return _HANDLERS[args.command](args, file_cfg)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

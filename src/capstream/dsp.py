@@ -131,24 +131,6 @@ def weighted_smoothed_difference(
     )
 
 
-def literal_weighted_sum(stream: RawStream, cfg: DspConfig | None = None) -> ProcessedStream:
-    """Comparison variant: weighted *sum* of consecutive samples, smoothed.
-
-    Kept for side-by-side inspection; it does not zero-centre idle input, so
-    the detector path never uses it.
-    """
-    cfg = cfg or DspConfig()
-    w = cfg.smooth_window
-    if len(stream) < w + 1:
-        raise InsufficientDataError(f"need at least {w + 1} samples, got {len(stream)}")
-    x = stream.values
-    tau = np.asarray(cfg.sensitivity, dtype=np.float64)[:, None]
-    mixed = tau * x[:, 1:] + (1.0 - tau) * x[:, :-1]
-    return ProcessedStream(
-        sampling_rate=stream.sampling_rate, start_index=w, values=_moving_average(mixed, w)
-    )
-
-
 def pairwise_sensor_difference(
     stream: RawStream, sensor_a: int, sensor_b: int
 ) -> np.ndarray:
@@ -189,13 +171,8 @@ def low_pass(
     signal: Sequence[float] | np.ndarray,
     cutoff: float,
     sampling_rate: float,
-    window: int = 1,
 ) -> np.ndarray:
-    """Spectral-mask low-pass filter keeping bins at or below cutoff Hz.
-
-    window > 1 additionally applies the magnitude moving average of that
-    length, the source of the filter path's latency (window samples).
-    """
+    """Spectral-mask low-pass filter keeping bins at or below cutoff Hz."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise InsufficientDataError("low_pass needs a non-empty 1-D signal")
@@ -203,15 +180,9 @@ def low_pass(
         raise InvalidParameterError(
             f"cutoff {cutoff} Hz must be below Nyquist {sampling_rate / 2} Hz"
         )
-    if window < 1:
-        raise InvalidParameterError("window must be >= 1")
     spec, freqs, n = _padded_spectrum(x, sampling_rate)
     spec[freqs > cutoff] = 0.0
-    out = np.fft.irfft(spec, n)[: x.size]
-    if window > 1:
-        kernel = np.ones(window) / window
-        out = np.convolve(np.abs(out), kernel, mode="full")[: x.size]
-    return out
+    return np.fft.irfft(spec, n)[: x.size]
 
 
 def band_pass(

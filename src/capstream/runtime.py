@@ -28,7 +28,7 @@ from .detector import AdaptiveThresholdDetector, DetectorConfig
 from .dsp import DspConfig, StreamingConditioner
 from .errors import InvalidParameterError
 from .protocol import CommandMessage, decode_message, encode_message, map_class_to_command
-from .signals import NUM_SENSORS, RawStream
+from .signals import NUM_SENSORS, RawStream, validate_sampling_rate
 from .storage import load_recording
 
 log = logging.getLogger(__name__)
@@ -104,7 +104,7 @@ class LiveByteSource:
 
     def __init__(self, reader: IO[bytes], sampling_rate: float = 53.0) -> None:
         self.reader = reader
-        self.sampling_rate = sampling_rate
+        self.sampling_rate = validate_sampling_rate(sampling_rate)
 
     def rows(self) -> Iterator[tuple[int, tuple[float, float, float, float]]]:
         for raw in self.reader:
@@ -136,6 +136,15 @@ class PipelineConfig:
     queue_capacity: int | None = None
     connect_attempts: int = 5
     connect_backoff_s: float = 0.1
+
+    def __post_init__(self) -> None:
+        # capacity 0 would make queue.Queue unbounded, so detection would never wait.
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise InvalidParameterError(f"queue_capacity must be None or >= 1, got {self.queue_capacity}")
+        if self.connect_attempts < 1:
+            raise InvalidParameterError(f"connect_attempts must be >= 1, got {self.connect_attempts}")
+        if not self.connect_backoff_s >= 0:
+            raise InvalidParameterError(f"connect_backoff_s must be >= 0, got {self.connect_backoff_s}")
 
     def capacity_for(self, sampling_rate: float) -> int:
         if self.queue_capacity is not None:

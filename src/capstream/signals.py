@@ -27,6 +27,12 @@ def validate_sensor_id(sensor: int) -> int:
     return sensor
 
 
+def validate_sampling_rate(rate: float) -> float:
+    if not 0 < rate < np.inf:
+        raise InvalidParameterError(f"sampling_rate must be finite and > 0, got {rate}")
+    return rate
+
+
 @dataclass
 class RawStream:
     """Parallel voltage time series for the four sensor plates.
@@ -39,8 +45,7 @@ class RawStream:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.sampling_rate < np.inf:
-            raise InvalidParameterError(f"sampling_rate must be finite and > 0, got {self.sampling_rate}")
+        validate_sampling_rate(self.sampling_rate)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] != NUM_SENSORS:
             raise InvalidParameterError(

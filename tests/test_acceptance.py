@@ -306,7 +306,8 @@ def test_criterion_09_weighted_difference_consistency():
 
 def test_criterion_10_throughput():
     # 120 s of signal with gestures sprinkled in; timed stage = streaming
-    # conditioner + detector exactly as the pipeline runs them.
+    # conditioner + detector fed one row at a time (push + step). run_pipeline
+    # feeds push_block up to the detector's emit horizon instead.
     rec = generate_session(seed=31, n_per_class=2, params=PARAMS, sampling_rate=RATE)
     values = rec.stream.values
     n = values.shape[1]

@@ -28,6 +28,83 @@ def session_dir(tmp_path_factory):
     return out
 
 
+_DETECTION_DESTS = {
+    "config",
+    "detector_phi",
+    "detector_update_period",
+    "detector_pre_pad",
+    "detector_post_pad",
+    "detector_safety_period",
+    "detector_init_period",
+    "detector_warmup_period",
+    "detector_max_crossing_window",
+    "dsp_sensitivity",
+    "dsp_smooth_window",
+}
+
+# Every option dest, positionals included, that each subcommand accepts: the
+# ones its handler reads and no others.
+_ACCEPTED_DESTS = {
+    "simulate": {"seed", "mode", "classes", "per_class", "rate", "idle_seconds", "out"},
+    "process": {"recording", "scheme", "rate", "out", "config",
+                "dsp_sensitivity", "dsp_smooth_window", "dsp_lpf_cutoff"},
+    "fft": {"recording", "channel", "rate", "bands", "out"},
+    "detect": {"recording", "rate", "out_dir"} | _DETECTION_DESTS,
+    "train": {"seed", "data", "cell", "out", "epochs", "batch_size", "learning_rate", "hidden",
+              "frame_length"} | _DETECTION_DESTS,
+    "eval": {"model", "data", "frame_length", "csv_out"} | _DETECTION_DESTS,
+    "eval-detect": {"frames", "labels", "iou_min", "csv_out"},
+    "run": {"source", "model", "socket", "no_socket", "unpaced", "rate", "log"} | _DETECTION_DESTS,
+    "consume": {"listen", "max_messages"},
+}
+
+
+class TestInterface:
+    def test_each_subcommand_accepts_exactly_the_pinned_options(self):
+        subparsers = build_parser()._subparsers._group_actions[0]
+        accepted = {
+            name: [a.dest for a in sub._actions if a.dest != "help"]
+            for name, sub in subparsers.choices.items()
+        }
+        assert {name: set(dests) for name, dests in accepted.items()} == _ACCEPTED_DESTS
+        assert sum(len(dests) for dests in accepted.values()) == 93
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["process", "rec.csv", "--phi", "999"],
+            ["process", "rec.csv", "--seed", "1"],
+            ["process", "rec.csv", "--scheme", "literal-sum"],
+            ["fft", "rec.csv", "--seed", "1"],
+            ["fft", "rec.csv", "--config", "exp.cfg"],
+            ["simulate", "--out", "out", "--config", "exp.cfg"],
+            ["detect", "rec.csv", "--lpf-cutoff", "10"],
+            ["detect", "rec.csv", "--seed", "1"],
+            ["train", "--data", "data", "--out", "m.bin", "--lpf-cutoff", "10"],
+            ["eval", "--model", "m.bin", "--data", "data", "--seed", "1"],
+            ["eval-detect", "frames.csv", "labels.csv", "--config", "exp.cfg"],
+            ["run", "--source", "file:rec.csv", "--model", "m.bin", "--frame-length", "64"],
+            ["run", "--source", "file:rec.csv", "--model", "m.bin", "--lpf-cutoff", "10"],
+            ["consume", "--config", "nope.cfg"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a.startswith("--")][-1:]),
+    )
+    def test_removed_flag_is_an_argparse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert argv[-2] in err or argv[-1] in err
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_run_live_bad_rate_fails_before_connecting(self, tmp_path, capsys, rate):
+        # Nothing listens on the endpoint: a connect attempt would exit 3.
+        code = main(["run", "--source", "live:127.0.0.1:1", "--model", str(tmp_path / "m.bin"),
+                     "--no-socket", "--rate", rate])
+        assert code == EXIT_CONFIG
+        assert "sampling_rate" in capsys.readouterr().err
+
+
 class TestDocs:
     def test_every_flag_documents_its_default(self):
         # Usage contract: help text carries defaults (and units for numerics).
@@ -214,7 +291,7 @@ class TestProcessAndFft:
         assert rows[0] == ["index", "s1", "s2", "s3", "s4"]
         assert len(rows) - 1 == len(load_recording(session_dir / "session.csv"))
 
-    @pytest.mark.parametrize("scheme", ["weighted-diff", "literal-sum", "pairwise-diff", "low-pass"])
+    @pytest.mark.parametrize("scheme", ["weighted-diff", "pairwise-diff", "low-pass"])
     def test_process_stdout_equals_file_in_csv_module_format(self, session_dir, tmp_path, capsys, scheme):
         recording = str(session_dir / "session.csv")
         out_csv = tmp_path / "out.csv"
@@ -275,6 +352,23 @@ class TestConfigPrecedence:
         cfg.write_text("detector.phi=abc\n")
         code = main(["detect", str(session_dir / "session.csv"), "--config", str(cfg)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["detector.phy", "dsp.smoothing_window", "dsp.phi", "detector.lpf_cutoff"])
+    def test_unknown_table_key_is_config_error(self, session_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"{key}=55\n")
+        code = main(["detect", str(session_dir / "session.csv"), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "frames")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "frames").exists()
+
+    def test_manifest_keys_and_known_table_keys_pass(self, session_dir, tmp_path):
+        cfg = tmp_path / "manifest.cfg"
+        cfg.write_text("seed=4\nsampling_rate=53.0\ndsp.lpf_cutoff=10\n")
+        code = main(["detect", str(session_dir / "session.csv"), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "frames")])
+        assert code == EXIT_OK
 
     def test_missing_config_file_is_io_error(self, session_dir, tmp_path):
         code = main(["detect", str(session_dir / "session.csv"), "--config",

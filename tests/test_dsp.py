@@ -11,7 +11,6 @@ from capstream.dsp import (
     StreamingConditioner,
     band_statistics,
     fft,
-    literal_weighted_sum,
     low_pass,
     pairwise_sensor_difference,
     sensor_pairs,
@@ -175,11 +174,6 @@ class TestWeightedSmoothedDifference:
         cond = StreamingConditioner(DspConfig(smooth_window=1))
         assert cond.push([0.0] * 4) is None
         assert cond.push([5e-324] * 4) == (5e-324,) * 4
-
-    def test_literal_sum_variant_does_not_zero_idle(self):
-        values = _four([10.0] * 40)
-        out = literal_weighted_sum(_stream(values), DspConfig())
-        assert np.all(out.values > 5.0)
 
 
 class TestPairwiseDifference:

@@ -84,6 +84,33 @@ class TestSources:
         rows = list(src.rows())
         assert rows == [(0, (1.0, 2.0, 3.0, 4.0)), (1, (5.0, 6.0, 7.0, 8.0))]
 
+    @pytest.mark.parametrize("rate", [0.0, -53.0, float("nan"), float("inf")])
+    def test_live_byte_source_rejects_bad_rate(self, rate):
+        with pytest.raises(InvalidParameterError, match="sampling_rate"):
+            LiveByteSource(io.BytesIO(b""), sampling_rate=rate)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"queue_capacity": 0},
+            {"queue_capacity": -1},
+            {"connect_attempts": 0},
+            {"connect_backoff_s": -0.1},
+            {"connect_backoff_s": float("nan")},
+        ],
+        ids=["capacity-0", "capacity-negative", "attempts-0", "backoff-negative", "backoff-nan"],
+    )
+    def test_invalid_fields_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            PipelineConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        cfg = PipelineConfig(queue_capacity=1, connect_attempts=1, connect_backoff_s=0.0)
+        assert cfg.capacity_for(53.0) == 1
+        assert PipelineConfig().capacity_for(53.0) == 212
+
 
 class TestPipeline:
     def test_idle_replay_emits_nothing(self, params, plumbing_model):
