@@ -14,6 +14,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,9 @@ DEFAULT_FRAME_LENGTH = 256
 
 # Frame tensors are (T, channels) float64 arrays, standardized per channel.
 FrameTensor = np.ndarray
+
+# Time steps per input projection in the state-only forward.
+_STEP_CHUNK = 32
 
 _MAGIC = b"CAPM"
 _FORMAT_VERSION = 1
@@ -138,6 +142,8 @@ class ClassifierModel:
         """
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
+        if hidden_size < 1:
+            raise InvalidParameterError(f"hidden_size must be >= 1, got {hidden_size}")
         rng = np.random.default_rng(seed)
         input_bound = 4.0 / np.sqrt(input_dim)
         gain = 2.0 if cell_type == "gru" else 2.5
@@ -200,51 +206,66 @@ class ClassifierModel:
     def _fused(self, prefix: str, gates: tuple[str, ...]) -> np.ndarray:
         return np.concatenate([self.params[f"{prefix}_{g}"] for g in gates], axis=-1)
 
+    def _fused_input(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Time-major input (T, B, D) and the fused input weights W (D, G*H), b (G*H).
+
+        The per-gate weights are fused on every call (never stored, so edits
+        to self.params take effect at once), columns in _FUSED_GATES order,
+        after Appleyard et al. 2016 (arXiv:1604.01946): one input projection
+        and, per step, one recurrent matmul and one sigmoid. The GRU keeps U_n
+        apart because the reset gate scales h before it.
+        """
+        gates = _FUSED_GATES[self.cell_type]
+        xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+        return xt, self._fused("W", gates), self._fused("b", gates)
+
     def _recurrent_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Run the cell over a (B, T, D) batch; returns the time-major BPTT cache.
 
-        The per-gate weights are fused on every call (never stored, so edits
-        to self.params take effect at once) into W (D, G*H), b (G*H) and
-        U (H, G*H), columns in _FUSED_GATES order, after Appleyard et al.
-        2016 (arXiv:1604.01946): one input projection per call, one recurrent
-        matmul and one sigmoid per step. The GRU keeps U_n apart because the
-        reset gate scales h before it. Cache: "act" (T, B, G*H) gate
-        activations and "hs" (T + 1, B, H) with hs[t] the state entering step
-        t; the LSTM adds the cell states "cs" (T + 1, B, H) and their tanh
-        "tcs" (T, B, H).
+        Cache: "act" (T, B, G*H) gate activations and "hs" (T + 1, B, H) with
+        hs[t] the state entering step t; the LSTM adds the cell states "cs"
+        (T + 1, B, H) and their tanh "tcs" (T, B, H).
         """
         hh = self.hidden_size
-        gates = _FUSED_GATES[self.cell_type]
-        xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+        xt, w, b = self._fused_input(x)
         t_count, b_count, _ = xt.shape
-        # The loop overwrites the input projection with the gate activations.
-        act = xt @ self._fused("W", gates)
-        act += self._fused("b", gates)
+        # Each step overwrites its input projection with the gate activations.
+        act = xt @ w
+        act += b
         hs = np.zeros((t_count + 1, b_count, hh))
         cache = {"x": xt, "act": act, "hs": hs}
         if self.cell_type == "gru":
             u_zr, u_n = self._fused("U", ("z", "r")), self.params["U_n"]
             ax_zr, ax_n = act[..., : 2 * hh], act[..., 2 * hh :]
             for t in range(t_count):
-                h = hs[t]
-                zr = _sigmoid(ax_zr[t] + h @ u_zr)
-                z, r = zr[:, :hh], zr[:, hh:]
-                n = np.tanh(ax_n[t] + (r * h) @ u_n)
-                np.add(n, z * (h - n), out=hs[t + 1])  # (1 - z) n + z h
-                ax_zr[t], ax_n[t] = zr, n
+                _, ax_zr[t], ax_n[t] = _gru_step(act[t], hs[t], u_zr, u_n, hs[t + 1])
             return cache
-        u = self._fused("U", gates)
-        i, f, o, g = np.split(act, 4, axis=-1)
-        sig = act[..., : 3 * hh]
+        u = self._fused("U", _FUSED_GATES["lstm"])
         cs = cache["cs"] = np.zeros_like(hs)
         tcs = cache["tcs"] = np.empty_like(hs[1:])
         for t in range(t_count):
-            act[t] += hs[t] @ u
-            _sigmoid(sig[t], out=sig[t])
-            np.tanh(g[t], out=g[t])
-            np.add(f[t] * cs[t], i[t] * g[t], out=cs[t + 1])
-            np.multiply(o[t], np.tanh(cs[t + 1], out=tcs[t]), out=hs[t + 1])
+            _lstm_step(act[t], hs[t], cs[t], u, hs[t + 1], cs[t + 1], tcs[t])
         return cache
+
+    def _final_state(self, x: np.ndarray) -> np.ndarray:
+        """The last hidden state (B, H) of a (B, T, D) batch, keeping only h and c.
+
+        Same steps and bits as _recurrent_forward, which also stores every
+        step for the gradient pass. Here the input is projected _STEP_CHUNK
+        steps at a time, so memory does not grow with T.
+        """
+        xt, w, b = self._fused_input(x)
+        h = np.zeros((xt.shape[1], self.hidden_size))
+        if self.cell_type == "gru":
+            u_zr, u_n = self._fused("U", ("z", "r")), self.params["U_n"]
+            for a in _step_inputs(xt, w, b):
+                h, _, _ = _gru_step(a, h, u_zr, u_n)
+            return h
+        u = self._fused("U", _FUSED_GATES["lstm"])
+        c = np.zeros_like(h)
+        for a in _step_inputs(xt, w, b):
+            h, c = _lstm_step(a, h, c, u)
+        return h
 
     def _dense_forward(self, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         p = self.params
@@ -267,7 +288,7 @@ class ClassifierModel:
             raise ModelError(
                 f"input must have shape (B, T, {self.input_dim}), got {x.shape}"
             )
-        logits, _ = self._dense_forward(self._recurrent_forward(x)["hs"][-1])
+        logits, _ = self._dense_forward(self._final_state(x))
         probs = _softmax(logits)
         return probs[0] if single else probs
 
@@ -392,6 +413,55 @@ class ClassifierModel:
         return da
 
 
+def _step_inputs(xt: np.ndarray, w: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
+    """The input projection x_t @ W + b (B, G*H) of each step of a (T, B, D) input.
+
+    numpy computes a stacked (T, B, D) @ (D, G*H) product as one (B, D)
+    product per step, so a chunk of steps gives the same bits as the whole
+    input at once (TestFusedCoreParity compares the two passes).
+    """
+    for lo in range(0, xt.shape[0], _STEP_CHUNK):
+        proj = xt[lo : lo + _STEP_CHUNK] @ w
+        proj += b
+        yield from proj
+
+
+# One step of each cell, from the step's input projection a (B, G*H) and the
+# states h and c entering it. The out arrays, when given, receive the new
+# states (and the LSTM's tanh(c)): the BPTT cache passes its slices, the
+# state-only pass none. The GRU returns its gate activations for the cache;
+# the LSTM writes them over a.
+
+
+def _gru_step(
+    a: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_n: np.ndarray, h_out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    hh = h.shape[1]
+    zr = _sigmoid(a[:, : 2 * hh] + h @ u_zr)
+    z, r = zr[:, :hh], zr[:, hh:]
+    n = np.tanh(a[:, 2 * hh :] + (r * h) @ u_n)
+    return np.add(n, z * (h - n), out=h_out), zr, n  # (1 - z) n + z h
+
+
+def _lstm_step(
+    a: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    u: np.ndarray,
+    h_out: np.ndarray | None = None,
+    c_out: np.ndarray | None = None,
+    tc_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    hh = h.shape[1]
+    a += h @ u
+    sig, g = a[:, : 3 * hh], a[:, 3 * hh :]
+    _sigmoid(sig, out=sig)
+    np.tanh(g, out=g)
+    i, f, o = sig[:, :hh], sig[:, hh : 2 * hh], sig[:, 2 * hh :]
+    c_out = np.add(f * c, i * g, out=c_out)
+    return np.multiply(o, np.tanh(c_out, out=tc_out), out=h_out), c_out
+
+
 def _split_gates(fused: np.ndarray, count: int) -> list[np.ndarray]:
     """Contiguous copies of the gate column blocks of a fused (..., G*H) array."""
     return [np.ascontiguousarray(block) for block in np.split(fused, count, axis=-1)]
@@ -407,6 +477,8 @@ def frame_to_tensor(frame: GestureFrame, length: int = DEFAULT_FRAME_LENGTH) -> 
     Linear resampling preserves the pulse ordering across channels; constant
     channels standardize to zeros via the sigma floor.
     """
+    if length < 1:
+        raise InvalidParameterError(f"frame length must be >= 1, got {length}")
     if frame.channels is None or frame.channels.shape[1] == 0:
         raise InvalidParameterError("frame has no channel data")
     channels = np.asarray(frame.channels, dtype=np.float64)

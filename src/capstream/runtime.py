@@ -1,19 +1,17 @@
-"""Streaming orchestration: sources, the background pipeline, and the consumer.
+"""Streaming orchestration: sources, the pipeline, and the consumer.
 
-The pipeline has two stages joined by one bounded frame queue: the calling
-thread reads the source and runs conditioning + detection, and one worker
-thread classifies each frame and emits its message. The emitter writes NDJSON
-command messages to a TCP peer (with bounded reconnect backoff) and always
-appends them to the log sink, so classification results survive peer loss.
-Its backoff runs on the worker: with the peer down, each message can hold the
-worker for the whole connect cycle, and once the frame queue fills, detection
-waits for it.
+run_pipeline runs on the calling thread: it reads the source, conditions and
+detects, and classifies each frame and emits its message as soon as the
+detector returns it. The emitter writes NDJSON command messages to a TCP peer
+and always appends them to the log sink, so classification results survive
+peer loss. Its connect backoff runs on that one thread, so after a failed
+connect cycle it leaves the socket alone for _RETRY_AFTER_S rather than
+stalling the read of every later message.
 """
 from __future__ import annotations
 
 import logging
 import math
-import queue
 import socket
 import threading
 import time
@@ -35,8 +33,8 @@ log = logging.getLogger(__name__)
 
 PACING_MODES = ("unpaced", "realtime")
 
-# How often a worker blocked on a queue looks at the stop event.
-_POLL_S = 0.05
+# After a connect cycle fails, how long the emitter leaves the socket alone.
+_RETRY_AFTER_S = 30.0
 
 __all__ = [
     "FileReplaySource",
@@ -129,6 +127,14 @@ class LiveByteSource:
 
 @dataclass
 class PipelineConfig:
+    """Pipeline settings.
+
+    queue_capacity is validated but read by nothing: the pipeline has no
+    queue, since frames are classified on the thread that detects them. It
+    stays only because perfbench's replay workload still passes it, and goes
+    when the benchmark stops passing it.
+    """
+
     dsp: DspConfig = field(default_factory=DspConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     socket_addr: tuple[str, int] | None = None
@@ -138,7 +144,6 @@ class PipelineConfig:
     connect_backoff_s: float = 0.1
 
     def __post_init__(self) -> None:
-        # capacity 0 would make queue.Queue unbounded, so detection would never wait.
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise InvalidParameterError(f"queue_capacity must be None or >= 1, got {self.queue_capacity}")
         if self.connect_attempts < 1:
@@ -146,14 +151,12 @@ class PipelineConfig:
         if not self.connect_backoff_s >= 0:
             raise InvalidParameterError(f"connect_backoff_s must be >= 0, got {self.connect_backoff_s}")
 
-    def capacity_for(self, sampling_rate: float) -> int:
-        if self.queue_capacity is not None:
-            return self.queue_capacity
-        return max(16, int(4 * sampling_rate))
-
 
 @dataclass
 class PipelineResult:
+    """What a run did. max_latency_ms is the longest time from the detector
+    returning a frame to that frame's message being emitted."""
+
     messages: list[CommandMessage]
     frames: int
     samples: int
@@ -163,12 +166,18 @@ class PipelineResult:
 
 
 class _Emitter:
-    """Socket writer with bounded reconnect backoff plus an always-on log sink."""
+    """Socket writer with bounded reconnect backoff plus an always-on log sink.
+
+    A connect cycle that fails opens a circuit breaker: for _RETRY_AFTER_S the
+    messages go to the log sink only, and the next message after that tries
+    the socket again.
+    """
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
         self.sock: socket.socket | None = None
         self.delivered = 0
+        self._retry_at = 0.0  # time.monotonic() before which the socket is skipped
         self._log_fh = open(cfg.log_path, "a") if cfg.log_path else None
 
     def _connect(self) -> socket.socket | None:
@@ -193,13 +202,14 @@ class _Emitter:
         if self._log_fh is not None:
             self._log_fh.write(line)
             self._log_fh.flush()
-        if self.cfg.socket_addr is None:
+        if self.cfg.socket_addr is None or time.monotonic() < self._retry_at:
             return
         for _ in range(2):  # current connection, then one reconnect cycle
             if self.sock is None:
                 self.sock = self._connect()
                 if self.sock is None:
-                    log.error("emitter: giving up on socket for this message")
+                    self._retry_at = time.monotonic() + _RETRY_AFTER_S
+                    log.error("emitter: peer unreachable; log sink only for %.0f s", _RETRY_AFTER_S)
                     return
             try:
                 self.sock.sendall(line.encode("utf-8"))
@@ -223,94 +233,53 @@ class _Emitter:
             self._log_fh = None
 
 
-class _Stopped(Exception):
-    """The calling thread stops feeding because the worker failed."""
-
-
 def run_pipeline(
     source: FileReplaySource | LiveByteSource,
     cfg: PipelineConfig,
     model: ClassifierModel,
 ) -> PipelineResult:
-    """Drive source -> conditioning+detection -> classification+emission.
+    """Drive source -> conditioning + detection -> classification -> emission.
 
-    The calling thread reads the source, conditions and detects; one worker
-    thread classifies each frame and emits its message. A full frame queue
-    throttles detection rather than dropping samples. Rows are buffered up
-    to the detector's next_emit_index and fed as one block, so no frame is
-    held past the row that closes it. Returns once the source ends and the
-    last message is emitted; the first error on either side stops both and
-    is raised here, after the worker has ended.
+    Everything runs on the calling thread. Rows are buffered up to the
+    detector's next_emit_index and fed as one block, so no frame is held past
+    the row that closes it; each frame the detector returns is classified and
+    its message emitted before the next row is read. Returns once the source
+    ends; an error in any stage propagates to the caller.
     """
     rate = source.sampling_rate
-    frame_q: queue.Queue = queue.Queue(maxsize=cfg.capacity_for(rate))
-    stop = threading.Event()
     t_start = time.monotonic()
     samples = 0
     max_latency = 0.0
     messages: list[CommandMessage] = []
-    errors: list[BaseException] = []
-    emitter = _Emitter(cfg)
-
-    def classify_and_emit() -> None:
-        nonlocal max_latency
-        try:
-            while not stop.is_set():
-                try:
-                    item = frame_q.get(timeout=_POLL_S)
-                except queue.Empty:
-                    continue
-                if item is None:
-                    return
-                frame, t_emit = item
-                pred = model.predict(frame_to_tensor(frame))
-                msg = CommandMessage.for_class(
-                    class_id=pred.class_id,
-                    frame_index=frame.k,
-                    timestamp_ms=int(round(frame.end / rate * 1000.0)),
-                    probability=float(pred.probabilities.max()),
-                )
-                emitter.emit(msg)
-                messages.append(msg)
-                max_latency = max(max_latency, (time.monotonic() - t_emit) * 1000.0)
-        except BaseException as exc:  # raised by run_pipeline
-            errors.append(exc)
-            stop.set()
-        finally:
-            emitter.close()
-
-    def put(item) -> None:
-        while not stop.is_set():
-            try:
-                frame_q.put(item, timeout=_POLL_S)
-                return
-            except queue.Full:
-                pass
-        raise _Stopped
-
     conditioner = StreamingConditioner(cfg.dsp)
     detector = AdaptiveThresholdDetector(cfg.detector)
     rows: list = []  # flat raw rows expected - len(rows) // 4 .. expected - 1
     expected = None
     horizon = detector.next_emit_index
+    emitter = _Emitter(cfg)
 
     def flush() -> None:
-        nonlocal samples, horizon
+        nonlocal samples, horizon, max_latency
         block = np.array(rows, dtype=np.float64).reshape(-1, NUM_SENSORS).T
         processed = conditioner.push_block(block)
         samples += block.shape[1]
         rows.clear()
         # The processed columns belong to the last rows of the block.
-        for frame in detector.push_block(expected - processed.shape[1], processed):
-            put((frame, time.monotonic()))
+        frames = detector.push_block(expected - processed.shape[1], processed)
+        t_detected = time.monotonic()
+        for frame in frames:
+            pred = model.predict(frame_to_tensor(frame))
+            msg = CommandMessage.for_class(
+                class_id=pred.class_id,
+                frame_index=frame.k,
+                timestamp_ms=int(round(frame.end / rate * 1000.0)),
+                probability=float(pred.probabilities.max()),
+            )
+            emitter.emit(msg)
+            messages.append(msg)
+            max_latency = max(max_latency, (time.monotonic() - t_detected) * 1000.0)
         horizon = detector.next_emit_index
-        if stop.is_set():
-            raise _Stopped
 
-    # Daemon thread: if the caller is interrupted while joining it, a worker
-    # stuck on the socket cannot keep the process alive.
-    worker = threading.Thread(target=classify_and_emit, name="capstream-classify", daemon=True)
-    worker.start()
     try:
         for idx, row in source.rows():
             if idx != expected and expected is not None:
@@ -325,15 +294,8 @@ def run_pipeline(
                 flush()
         if rows:
             flush()
-        put(None)
-    except _Stopped:
-        pass  # the worker failed; its error is raised below
-    except BaseException as exc:
-        errors.append(exc)
-        stop.set()
-    worker.join()
-    if errors:
-        raise errors[0]
+    finally:
+        emitter.close()
     wall = time.monotonic() - t_start
     log.info(
         "pipeline done: %d samples, %d frames, %.2fs wall, max latency %.1f ms",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestFusedCoreParity:
         loss, _, probs = model._loss_gradients_probs(x, y)
         np.testing.assert_array_equal(probs, model.forward(x))
         assert loss == cross_entropy(probs, y)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_forward_keeps_no_bptt_cache(self, cell):
+        model = ClassifierModel.initialize(cell, seed=4)
+        x = np.random.default_rng(8).normal(size=(64, 256, 4))
+        gates = 3 if cell == "gru" else 4
+        # The gradient pass's "act" (T, B, G*H) and "hs" (T + 1, B, H), in bytes.
+        cache_bytes = 8 * (256 * 64 * gates * 20 + 257 * 64 * 20)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cache_bytes
 
     # train_loss of this run, recorded from the per-gate implementation
     # that preceded the fused core.

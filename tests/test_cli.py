@@ -392,3 +392,20 @@ class TestTrainEval:
         assert code == EXIT_OK
         text = (tmp_path / "metrics.csv").read_text()
         assert text.splitlines()[0] == "class,precision,recall,f1"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--hidden", "hidden_size"), ("--frame-length", "frame length")],
+        ids=["hidden-0", "frame-length-0"],
+    )
+    def test_zero_model_size_is_config_error(self, tmp_path, capsys, flag, message):
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "dataset", "--classes", "3", "--per-class", "2",
+              "--seed", "4", "--out", str(data)])
+        model_path = tmp_path / "model.bin"
+        code = main(["train", "--data", str(data), "--out", str(model_path),
+                     "--epochs", "1", flag, "0"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not model_path.exists()

@@ -12,7 +12,7 @@ from capstream.classifier import ClassifierModel
 from capstream.detector import AdaptiveThresholdDetector, run_detector
 from capstream.dsp import StreamingConditioner
 from capstream.errors import InvalidParameterError, OrderingError
-from capstream.protocol import COMMANDS
+from capstream.protocol import COMMANDS, encode_message
 from capstream.runtime import (
     FileReplaySource,
     LiveByteSource,
@@ -108,8 +108,7 @@ class TestPipelineConfig:
 
     def test_boundary_values_accepted(self):
         cfg = PipelineConfig(queue_capacity=1, connect_attempts=1, connect_backoff_s=0.0)
-        assert cfg.capacity_for(53.0) == 1
-        assert PipelineConfig().capacity_for(53.0) == 212
+        assert (cfg.queue_capacity, cfg.connect_attempts, cfg.connect_backoff_s) == (1, 1, 0.0)
 
 
 class TestPipeline:
@@ -255,6 +254,30 @@ class TestPipelineFailures:
         assert result.frames > 0
         assert result.socket_delivered == 0
 
+    def test_peer_down_costs_one_connect_cycle(self, session_10, plumbing_model, tmp_path):
+        import socket as socket_module
+
+        with socket_module.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The port is closed now: every connect is refused.
+        log_path = tmp_path / "messages.ndjson"
+        # One connect cycle sleeps 0.2 s after the first attempt, 0.4 s after the second.
+        cycle_s = 0.2 + 0.4
+        cfg = PipelineConfig(
+            socket_addr=("127.0.0.1", port),
+            log_path=log_path,
+            connect_attempts=2,
+            connect_backoff_s=0.2,
+        )
+        src = FileReplaySource.from_stream(session_10.stream, pacing="unpaced")
+        no_socket = run_pipeline(src, PipelineConfig(), plumbing_model).wall_seconds
+        result = run_pipeline(src, cfg, plumbing_model)
+        assert result.frames == 10
+        assert result.wall_seconds < no_socket + 2 * cycle_s
+        assert result.socket_delivered == 0
+        assert log_path.read_text() == "".join(encode_message(m) for m in result.messages)
+
     def test_gap_raises_the_per_row_ordering_error(self, short_session, plumbing_model):
         rows = list(short_session.stream.rows())
         rows = rows[:1000] + rows[1100:]
@@ -314,6 +337,21 @@ class TestNoThreadOutlivesTheRun:
             assert isinstance(out.get("error"), error)
         alive = [t.name for t in threading.enumerate() if t.name.startswith("capstream-")]
         assert alive == []
+
+
+class TestOneThread:
+    def test_predict_runs_on_the_calling_thread(self, session_10, plumbing_model):
+        threads: set[int] = set()
+
+        class ThreadRecordingModel:
+            def predict(self, tensor):
+                threads.add(threading.get_ident())
+                return plumbing_model.predict(tensor)
+
+        src = FileReplaySource.from_stream(session_10.stream, pacing="unpaced")
+        result = run_pipeline(src, PipelineConfig(), ThreadRecordingModel())
+        assert result.frames == 10
+        assert threads == {threading.get_ident()}
 
 
 class TestEmitHorizon:
