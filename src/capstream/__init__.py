@@ -25,8 +25,6 @@ from .dsp import (
     StreamingConditioner,
     band_statistics,
     fft,
-    low_pass,
-    pairwise_sensor_difference,
     sequential_difference,
     weighted_smoothed_difference,
 )

@@ -16,8 +16,6 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from . import classifier, dataset, dsp, metrics, runtime, simulate, storage
 from .detector import DetectorConfig, detect_frames
 from .errors import CapstreamError, ConfigError, InvalidParameterError
@@ -41,18 +39,15 @@ _DETECTOR_KEYS = (
     ("max_crossing_window", int, _DETECTOR_DEFAULTS.max_crossing_window, "crisp crossing-pair dwell bound [samples]"),
 )
 
-_SCHEMES = ("weighted-diff", "pairwise-diff", "low-pass")
-
 _DSP_DEFAULTS = dsp.DspConfig()
-# The CLI sets one sensitivity for all four sensors. weighted_smoothed_difference
-# reads the first two keys; lpf_cutoff serves only process --scheme low-pass.
+# The CLI sets one sensitivity for all four sensors.
 _DSP_KEYS = (
     ("sensitivity", float, _DSP_DEFAULTS.sensitivity[0], "weight on the current vs previous sample [0..1]"),
     ("smooth_window", int, _DSP_DEFAULTS.smooth_window, "moving-average window [samples]"),
-    ("lpf_cutoff", float, _DSP_DEFAULTS.lpf_cutoff, "low-pass cutoff [Hz]"),
 )
 _CONFIG_KEYS = {f"detector.{k[0]}" for k in _DETECTOR_KEYS} | {f"dsp.{k[0]}" for k in _DSP_KEYS}
-_DETECT_TABLES = (("detector", _DETECTOR_KEYS), ("dsp", _DSP_KEYS[:2]))
+_DSP_TABLE = ("dsp", _DSP_KEYS)
+_DETECT_TABLES = (("detector", _DETECTOR_KEYS), _DSP_TABLE)
 
 
 def _add_tuning_flags(parser: argparse.ArgumentParser, tables) -> None:
@@ -129,11 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("process", help="condition a recording and write the processed CSV")
     p.add_argument("recording", help="input recording CSV [path]")
-    p.add_argument("--scheme", choices=_SCHEMES, default="weighted-diff",
-                   help="conditioning scheme [name] (default: weighted-diff)")
-    p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--out", default=None, help="output CSV [path] (default: stdout)")
-    _add_tuning_flags(p, [("dsp", _DSP_KEYS)])
+    _add_tuning_flags(p, [_DSP_TABLE])
 
     p = sub.add_parser("fft", help="magnitude spectrum and band statistics of one channel")
     p.add_argument("recording", help="input recording CSV [path]")
@@ -145,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run the adaptive-threshold detector over a recording")
     p.add_argument("recording", help="input recording CSV [path]")
-    p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--out-dir", default=None, help="directory for frame CSV blocks and index [path] (default: <recording>.frames)")
     _add_tuning_flags(p, _DETECT_TABLES)
 
@@ -231,24 +222,10 @@ def _cmd_simulate(args, file_cfg) -> int:
 
 
 def _cmd_process(args, file_cfg) -> int:
-    stream = storage.load_recording(args.recording, sampling_rate=args.rate)
-    cfg = _dsp_config(args, file_cfg)
-    header = storage.RECORDING_HEADER
-    first = 0
-    if args.scheme == "weighted-diff":
-        processed = dsp.weighted_smoothed_difference(stream, cfg)
-        first, columns = processed.start_index, processed.values
-    elif args.scheme == "pairwise-diff":
-        pairs = dsp.sensor_pairs()
-        header = ["index"] + [f"s{a}s{b}" for a, b in pairs]
-        columns = [dsp.pairwise_sensor_difference(stream, a, b) for a, b in pairs]
-    else:  # low-pass
-        columns = [
-            dsp.low_pass(channel, cfg.lpf_cutoff, stream.sampling_rate)
-            for channel in stream.values
-        ]
+    stream = storage.load_recording(args.recording)
+    processed = dsp.weighted_smoothed_difference(stream, _dsp_config(args, file_cfg))
     with _open_out(args.out) as fh:
-        storage._write_samples(fh, header, first, np.asarray(columns))
+        storage._write_samples(fh, storage.RECORDING_HEADER, processed.start_index, processed.values)
     return EXIT_OK
 
 
@@ -297,7 +274,7 @@ def _cmd_fft(args, file_cfg) -> int:
 
 
 def _cmd_detect(args, file_cfg) -> int:
-    stream = storage.load_recording(args.recording, sampling_rate=args.rate)
+    stream = storage.load_recording(args.recording)
     det_cfg = _detector_config(args, file_cfg)
     dsp_cfg = _dsp_config(args, file_cfg)
     processed = dsp.weighted_smoothed_difference(stream, dsp_cfg)

@@ -1,8 +1,9 @@
 """Signal conditioning and frequency analysis for raw sensor streams.
 
-Three conditioning routes are available: the weighted sequential difference
-(the default feeding the detector), pairwise channel differences, and a
-spectral low-pass path. FFT-domain helpers back the band statistics.
+One conditioning route feeds the detector on every path: the weighted
+sequential difference with moving-average smoothing, in batch
+(weighted_smoothed_difference) and streaming (StreamingConditioner) form.
+FFT-domain helpers back the band statistics.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .signals import NUM_SENSORS, ProcessedStream, RawStream, validate_sensor_id
+from .signals import NUM_SENSORS, ProcessedStream, RawStream
 
 # The five analysis bands used for the idle/gesture spectral comparison.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = (
@@ -31,14 +32,11 @@ class DspConfig:
     sensitivity weighs the current sample against the previous one per
     sensor; 0.5 everywhere reduces the weighted difference to the plain
     sequential difference. smooth_window is deliberately small (latency in
-    samples). lpf_cutoff is the low-pass route's cutoff in Hz; the abstract
-    fixes none, so 20 Hz is this repository's choice, below the 26.5 Hz
-    Nyquist limit of the default 53 Hz rate.
+    samples).
     """
 
     sensitivity: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
     smooth_window: int = 5
-    lpf_cutoff: float = 20.0
 
     def __post_init__(self) -> None:
         if len(self.sensitivity) != NUM_SENSORS:
@@ -131,22 +129,6 @@ def weighted_smoothed_difference(
     )
 
 
-def pairwise_sensor_difference(
-    stream: RawStream, sensor_a: int, sensor_b: int
-) -> np.ndarray:
-    """Absolute difference between two sensor channels, |x_a - x_b| per index."""
-    validate_sensor_id(sensor_a)
-    validate_sensor_id(sensor_b)
-    if sensor_a == sensor_b:
-        raise InvalidParameterError("pairwise difference needs two distinct sensors")
-    return np.abs(stream.values[sensor_a - 1] - stream.values[sensor_b - 1])
-
-
-def sensor_pairs() -> tuple[tuple[int, int], ...]:
-    """The six unordered sensor pairs."""
-    return ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
 def _padded_spectrum(x: np.ndarray, sampling_rate: float) -> tuple[np.ndarray, np.ndarray, int]:
     """rfft of x zero-padded to a power of two: (bins, bin frequencies in Hz, padded length)."""
     n = 1 << (max(x.size, 2) - 1).bit_length()
@@ -165,24 +147,6 @@ def fft(signal: Sequence[float] | np.ndarray, sampling_rate: float) -> Spectrum:
         raise InvalidParameterError("sampling_rate must be > 0")
     spec, freqs, _ = _padded_spectrum(x, sampling_rate)
     return Spectrum(frequencies=freqs, magnitudes=np.abs(spec))
-
-
-def low_pass(
-    signal: Sequence[float] | np.ndarray,
-    cutoff: float,
-    sampling_rate: float,
-) -> np.ndarray:
-    """Spectral-mask low-pass filter keeping bins at or below cutoff Hz."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise InsufficientDataError("low_pass needs a non-empty 1-D signal")
-    if cutoff >= sampling_rate / 2:
-        raise InvalidParameterError(
-            f"cutoff {cutoff} Hz must be below Nyquist {sampling_rate / 2} Hz"
-        )
-    spec, freqs, n = _padded_spectrum(x, sampling_rate)
-    spec[freqs > cutoff] = 0.0
-    return np.fft.irfft(spec, n)[: x.size]
 
 
 def band_pass(

@@ -184,6 +184,9 @@ class _Emitter:
         assert self.cfg.socket_addr is not None
         delay = self.cfg.connect_backoff_s
         for attempt in range(self.cfg.connect_attempts):
+            if attempt:
+                time.sleep(delay)
+                delay = min(delay * 2, 2.0)
             try:
                 return socket.create_connection(self.cfg.socket_addr, timeout=5.0)
             except OSError as exc:
@@ -193,8 +196,6 @@ class _Emitter:
                     self.cfg.connect_attempts,
                     exc,
                 )
-                time.sleep(delay)
-                delay = min(delay * 2, 2.0)
         return None
 
     def emit(self, msg: CommandMessage) -> None:
@@ -328,6 +329,8 @@ def consume(
     Malformed lines are logged and skipped; the loop ends on stream end or
     after max_messages. Returns everything that parsed.
     """
+    if max_messages is not None and max_messages < 1:
+        raise InvalidParameterError(f"max_messages must be None or >= 1, got {max_messages}")
     received: list[CommandMessage] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -303,6 +303,8 @@ def generate_dataset(
     """Balanced single-gesture recordings, n_per_class per class, class-major order."""
     if n_per_class <= 0:
         raise InvalidParameterError(f"n_per_class must be > 0, got {n_per_class}")
+    if not classes:
+        raise InvalidParameterError("classes must name at least one gesture class")
     params = params or PhysicsParams()
     children = np.random.SeedSequence(seed).spawn(len(classes) * n_per_class)
     out: list[LabeledRecording] = []
@@ -362,6 +364,8 @@ def generate_session(
     """
     if n_per_class <= 0:
         raise InvalidParameterError(f"n_per_class must be > 0, got {n_per_class}")
+    if not classes:
+        raise InvalidParameterError("classes must name at least one gesture class")
     params = params or PhysicsParams()
     seq = np.random.SeedSequence(seed)
     order_seed, idle_seed, *event_seeds = seq.spawn(2 + len(classes) * n_per_class)

@@ -46,10 +46,9 @@ _DETECTION_DESTS = {
 # ones its handler reads and no others.
 _ACCEPTED_DESTS = {
     "simulate": {"seed", "mode", "classes", "per_class", "rate", "idle_seconds", "out"},
-    "process": {"recording", "scheme", "rate", "out", "config",
-                "dsp_sensitivity", "dsp_smooth_window", "dsp_lpf_cutoff"},
+    "process": {"recording", "out", "config", "dsp_sensitivity", "dsp_smooth_window"},
     "fft": {"recording", "channel", "rate", "bands", "out"},
-    "detect": {"recording", "rate", "out_dir"} | _DETECTION_DESTS,
+    "detect": {"recording", "out_dir"} | _DETECTION_DESTS,
     "train": {"seed", "data", "cell", "out", "epochs", "batch_size", "learning_rate", "hidden",
               "frame_length"} | _DETECTION_DESTS,
     "eval": {"model", "data", "frame_length", "csv_out"} | _DETECTION_DESTS,
@@ -67,19 +66,22 @@ class TestInterface:
             for name, sub in subparsers.choices.items()
         }
         assert {name: set(dests) for name, dests in accepted.items()} == _ACCEPTED_DESTS
-        assert sum(len(dests) for dests in accepted.values()) == 93
+        assert sum(len(dests) for dests in accepted.values()) == 89
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["process", "rec.csv", "--phi", "999"],
             ["process", "rec.csv", "--seed", "1"],
-            ["process", "rec.csv", "--scheme", "literal-sum"],
+            ["process", "rec.csv", "--scheme", "low-pass"],
+            ["process", "rec.csv", "--lpf-cutoff", "10"],
+            ["process", "rec.csv", "--rate", "53"],
             ["fft", "rec.csv", "--seed", "1"],
             ["fft", "rec.csv", "--config", "exp.cfg"],
             ["simulate", "--out", "out", "--config", "exp.cfg"],
             ["detect", "rec.csv", "--lpf-cutoff", "10"],
             ["detect", "rec.csv", "--seed", "1"],
+            ["detect", "rec.csv", "--rate", "53"],
             ["train", "--data", "data", "--out", "m.bin", "--lpf-cutoff", "10"],
             ["eval", "--model", "m.bin", "--data", "data", "--seed", "1"],
             ["eval-detect", "frames.csv", "labels.csv", "--config", "exp.cfg"],
@@ -233,6 +235,14 @@ def _manifest_rate_not_finite(d):
     return ["fft", str(d / "rec.csv")]
 
 
+def _simulate_dataset_no_classes(d):
+    return ["simulate", "--mode", "dataset", "--classes", "0", "--out", str(d / "data")]
+
+
+def _simulate_session_no_classes(d):
+    return ["simulate", "--mode", "session", "--classes", "0", "--out", str(d / "sess")]
+
+
 def _manifest_rate_for_dataset(d):
     (d / "manifest.txt").write_text("sampling_rate=fast\n")
     return ["train", "--data", str(d), "--out", str(d / "model.bin"), "--epochs", "1"]
@@ -248,6 +258,8 @@ class TestBoundaryErrors:
             _manifest_rate_for_recording,
             _manifest_rate_not_finite,
             _manifest_rate_for_dataset,
+            _simulate_dataset_no_classes,
+            _simulate_session_no_classes,
         ],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, params, make_argv):
@@ -272,32 +284,12 @@ class TestProcessAndFft:
         assert rows[0] == ["index", "s1", "s2", "s3", "s4"]
         assert int(rows[1][0]) == 5  # smoothing window latency
 
-    def test_process_pairwise_has_six_columns(self, session_dir, tmp_path):
-        out_csv = tmp_path / "pairs.csv"
-        main(["process", str(session_dir / "session.csv"), "--scheme", "pairwise-diff",
-              "--out", str(out_csv)])
-        with open(out_csv, newline="") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["index", "s1s2", "s1s3", "s1s4", "s2s3", "s2s4", "s3s4"]
-
-    def test_process_low_pass_default_cutoff_fits_default_rate(self, session_dir, tmp_path):
-        # The session is at the default 53 Hz, so the default cutoff must lie below 26.5 Hz.
-        out_csv = tmp_path / "lpf.csv"
-        code = main(["process", str(session_dir / "session.csv"), "--scheme", "low-pass",
-                     "--out", str(out_csv)])
-        assert code == EXIT_OK
-        with open(out_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["index", "s1", "s2", "s3", "s4"]
-        assert len(rows) - 1 == len(load_recording(session_dir / "session.csv"))
-
-    @pytest.mark.parametrize("scheme", ["weighted-diff", "pairwise-diff", "low-pass"])
-    def test_process_stdout_equals_file_in_csv_module_format(self, session_dir, tmp_path, capsys, scheme):
+    def test_process_stdout_equals_file_in_csv_module_format(self, session_dir, tmp_path, capsys):
         recording = str(session_dir / "session.csv")
         out_csv = tmp_path / "out.csv"
-        assert main(["process", recording, "--scheme", scheme, "--out", str(out_csv)]) == EXIT_OK
+        assert main(["process", recording, "--out", str(out_csv)]) == EXIT_OK
         capsys.readouterr()
-        assert main(["process", recording, "--scheme", scheme]) == EXIT_OK
+        assert main(["process", recording]) == EXIT_OK
         text = out_csv.read_bytes().decode()
         lines = text.splitlines(keepends=True)  # lists keep a failing diff short
         assert capsys.readouterr().out.splitlines(keepends=True) == lines
@@ -353,7 +345,7 @@ class TestConfigPrecedence:
         code = main(["detect", str(session_dir / "session.csv"), "--config", str(cfg)])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key", ["detector.phy", "dsp.smoothing_window", "dsp.phi", "detector.lpf_cutoff"])
+    @pytest.mark.parametrize("key", ["detector.phy", "dsp.smoothing_window", "dsp.phi", "detector.lpf_cutoff", "dsp.lpf_cutoff"])
     def test_unknown_table_key_is_config_error(self, session_dir, tmp_path, capsys, key):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(f"{key}=55\n")
@@ -365,7 +357,7 @@ class TestConfigPrecedence:
 
     def test_manifest_keys_and_known_table_keys_pass(self, session_dir, tmp_path):
         cfg = tmp_path / "manifest.cfg"
-        cfg.write_text("seed=4\nsampling_rate=53.0\ndsp.lpf_cutoff=10\n")
+        cfg.write_text("seed=4\nsampling_rate=53.0\ndsp.smooth_window=5\n")
         code = main(["detect", str(session_dir / "session.csv"), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "frames")])
         assert code == EXIT_OK

@@ -9,11 +9,9 @@ from capstream.dsp import (
     DEFAULT_BANDS,
     DspConfig,
     StreamingConditioner,
+    band_pass,
     band_statistics,
     fft,
-    low_pass,
-    pairwise_sensor_difference,
-    sensor_pairs,
     sequential_difference,
     weighted_smoothed_difference,
 )
@@ -176,34 +174,6 @@ class TestWeightedSmoothedDifference:
         assert cond.push([5e-324] * 4) == (5e-324,) * 4
 
 
-class TestPairwiseDifference:
-    def test_identical_channels_zero(self):
-        stream = _stream(_four([1, 2, 3, 4]))
-        np.testing.assert_array_equal(pairwise_sensor_difference(stream, 1, 2), np.zeros(4))
-
-    def test_arithmetic(self):
-        values = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        stream = _stream(values)
-        np.testing.assert_array_equal(pairwise_sensor_difference(stream, 1, 2), [2, 1])
-
-    def test_six_pairs(self):
-        assert sensor_pairs() == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-    @given(st.integers(1, 4), st.integers(1, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_symmetry(self, a, b):
-        rng = np.random.default_rng(9)
-        stream = _stream(rng.normal(0, 5, size=(4, 64)))
-        if a == b:
-            with pytest.raises(InvalidParameterError):
-                pairwise_sensor_difference(stream, a, b)
-        else:
-            np.testing.assert_array_equal(
-                pairwise_sensor_difference(stream, a, b),
-                pairwise_sensor_difference(stream, b, a),
-            )
-
-
 class TestFft:
     def test_impulse_flat_spectrum(self):
         spec = fft([1.0] + [0.0] * 63, sampling_rate=64)
@@ -280,16 +250,16 @@ class TestBandStatistics:
             band_statistics(np.zeros(64), [(1.0, 100.0)], 100.0)
 
 
-class TestLowPass:
+class TestBandPass:
     def test_dc_unchanged(self):
-        out = low_pass(np.full(256, 5.0), cutoff=10, sampling_rate=100)
+        out = band_pass(np.full(256, 5.0), (0, 10), sampling_rate=100)
         np.testing.assert_allclose(out, 5.0, atol=1e-9)
 
     def test_attenuates_high_component(self):
         rate = 1024.0
         t = np.arange(1024) / rate
         x = np.sin(2 * np.pi * 10 * t) + np.sin(2 * np.pi * 200 * t)
-        out = low_pass(x, cutoff=50, sampling_rate=rate)
+        out = band_pass(x, (0, 50), sampling_rate=rate)
         # Oracle: spectrum ratio before/after at the 200 Hz bin.
         before = fft(x, rate)
         after = fft(out, rate)
@@ -297,8 +267,9 @@ class TestLowPass:
         ratio = before.magnitudes[bin200] / max(after.magnitudes[bin200], 1e-12)
         assert 20 * np.log10(ratio) >= 40
 
-    def test_near_nyquist_cutoff_is_identity(self):
-        # Pass-everything case on a signal with no energy at the Nyquist bin.
+    def test_pass_everything_band_is_identity(self):
+        # The whole band up to Nyquist, on a signal with no energy at the
+        # Nyquist bin: the pad, mask, irfft and truncate round trip.
         rate = 256.0
         t = np.arange(256) / rate
         x = (
@@ -306,12 +277,8 @@ class TestLowPass:
             + 0.5 * np.sin(2 * np.pi * 60 * t)
             + 0.2 * np.sin(2 * np.pi * 120 * t)
         )
-        out = low_pass(x, cutoff=128 - 1e-9, sampling_rate=rate)
+        out = band_pass(x, (0, rate / 2), sampling_rate=rate)
         np.testing.assert_allclose(out, x, atol=1e-6)
-
-    def test_cutoff_above_nyquist_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            low_pass(np.zeros(64), cutoff=60, sampling_rate=100)
 
 
 class TestConfig:

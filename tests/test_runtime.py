@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import socket
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from capstream.runtime import (
     FileReplaySource,
     LiveByteSource,
     PipelineConfig,
+    _Emitter,
     consume,
     run_pipeline,
 )
@@ -190,16 +192,27 @@ class TestPipeline:
         thread = threading.Thread(target=worker)
         thread.start()
         assert ready.wait(5)
-        import socket as socket_module
-
         from capstream.protocol import CommandMessage, encode_message
 
-        with socket_module.create_connection(("127.0.0.1", ports[0])) as sock:
+        with socket.create_connection(("127.0.0.1", ports[0])) as sock:
             sock.sendall(b"this is not json\n")
             sock.sendall(encode_message(CommandMessage.for_class(3, 1, 5, 0.7)).encode())
         thread.join(timeout=10)
         assert len(out["messages"]) == 1
         assert out["messages"][0].class_id == 3
+
+    def test_consume_rejects_max_messages_below_one(self):
+        ready = threading.Event()
+        out = _run_with_deadline(lambda: consume("127.0.0.1", 0, max_messages=0, ready=ready), 5.0)
+        assert isinstance(out.get("error"), InvalidParameterError)
+        assert not ready.is_set()  # raised before binding the port
+
+
+def _closed_port() -> int:
+    """A loopback port that was just released: every connect to it is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def _run_with_deadline(fn, seconds):
@@ -240,32 +253,20 @@ class TestPipelineFailures:
         assert model.calls == 1
 
     def test_socket_delivered_counts_only_delivered_messages(self, short_session, plumbing_model):
-        import socket as socket_module
-
-        with socket_module.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        # The port is closed now: every connect is refused.
         src = FileReplaySource.from_stream(short_session.stream, pacing="unpaced")
         cfg = PipelineConfig(
-            socket_addr=("127.0.0.1", port), connect_attempts=1, connect_backoff_s=0.01
+            socket_addr=("127.0.0.1", _closed_port()), connect_attempts=1, connect_backoff_s=0.01
         )
         result = run_pipeline(src, cfg, plumbing_model)
         assert result.frames > 0
         assert result.socket_delivered == 0
 
     def test_peer_down_costs_one_connect_cycle(self, session_10, plumbing_model, tmp_path):
-        import socket as socket_module
-
-        with socket_module.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        # The port is closed now: every connect is refused.
         log_path = tmp_path / "messages.ndjson"
-        # One connect cycle sleeps 0.2 s after the first attempt, 0.4 s after the second.
-        cycle_s = 0.2 + 0.4
+        # One connect cycle sleeps 0.2 s, between its two attempts.
+        cycle_s = 0.2
         cfg = PipelineConfig(
-            socket_addr=("127.0.0.1", port),
+            socket_addr=("127.0.0.1", _closed_port()),
             log_path=log_path,
             connect_attempts=2,
             connect_backoff_s=0.2,
@@ -277,6 +278,15 @@ class TestPipelineFailures:
         assert result.wall_seconds < no_socket + 2 * cycle_s
         assert result.socket_delivered == 0
         assert log_path.read_text() == "".join(encode_message(m) for m in result.messages)
+
+    def test_failed_connect_cycle_sleeps_only_between_attempts(self):
+        cfg = PipelineConfig(socket_addr=("127.0.0.1", _closed_port()),
+                             connect_attempts=3, connect_backoff_s=0.3)
+        emitter = _Emitter(cfg)
+        t0 = time.monotonic()
+        assert emitter._connect() is None
+        # 0.3 + 0.6 s of sleep; a sleep after the last attempt would add 1.2 s.
+        assert time.monotonic() - t0 < 1.5
 
     def test_gap_raises_the_per_row_ordering_error(self, short_session, plumbing_model):
         rows = list(short_session.stream.rows())
