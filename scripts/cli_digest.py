@@ -3,7 +3,8 @@
 
 Runs capstream.cli.main through simulate (dataset, session and idle modes),
 process (to a file and to stdout), fft, detect, eval-detect, a 2-epoch
-train, eval and an unpaced run without a socket, all writing under OUT_DIR.
+train at 256 steps per frame, eval and an unpaced run without a socket, all
+writing under OUT_DIR.
 The standard output of each command is kept as <step>.stdout, except for
 run, whose summary line reports a wall-clock latency. Prints one
 "sha256  name" line per file, sorted by name, so that two source trees can
@@ -38,7 +39,7 @@ STEPS = (
     ("fft", "fft sess/session.csv --out spectrum.csv", True),
     ("detect", "detect sess/session.csv --out-dir frames", True),
     ("eval-detect", "eval-detect frames/frames_index.csv sess/session.labels.csv --csv-out eval_detect.csv", True),
-    ("train", "train --data data --epochs 2 --seed 1 --out gru.bin", True),
+    ("train", "train --data data --epochs 2 --seed 1 --frame-length 256 --out gru.bin", True),
     ("eval", "eval --model gru.bin --data data --csv-out eval.csv", True),
     ("run", "run --source file:sess/session.csv --model gru.bin --no-socket --unpaced --log run.ndjson", False),
 )

@@ -14,7 +14,6 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +21,14 @@ from .detector import GestureFrame
 from .errors import InvalidParameterError, ModelError, TrainingDivergedError
 
 CELL_TYPES = ("gru", "lstm")
-DEFAULT_FRAME_LENGTH = 256
+# Steps per frame tensor. Detector frames are 147-193 samples long at the
+# default pads, so 128 steps keep their shape while each prediction runs half
+# the recurrent steps of 256.
+DEFAULT_FRAME_LENGTH = 128
+# The longest memory-gate time constant initialize() spreads, in steps. It
+# stays at the horizon the initialization was tuned at, whatever the frame
+# length, so a seed gives the same parameters at every length.
+_GATE_HORIZON = 256
 
 # Frame tensors are (T, channels) float64 arrays, standardized per channel.
 FrameTensor = np.ndarray
@@ -31,7 +37,9 @@ FrameTensor = np.ndarray
 _STEP_CHUNK = 32
 
 _MAGIC = b"CAPM"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# CAPM v1 files carry no frame length; every one was written at 256 steps.
+_V1_FRAME_LENGTH = 256
 
 
 @dataclass
@@ -53,15 +61,6 @@ class TrainConfig:
 class Prediction:
     class_id: int
     probabilities: np.ndarray
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as 0.5 * tanh(x / 2) + 0.5: no overflow for any input."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -98,7 +97,11 @@ def _param_shapes(
 
 
 class ClassifierModel:
-    """Recurrent cell + dense stack with explicit parameter tensors."""
+    """Recurrent cell + dense stack with explicit parameter tensors.
+
+    frame_length is the number of steps of the frame tensors the model was
+    trained on; predict accepts only tensors of that length.
+    """
 
     def __init__(
         self,
@@ -108,15 +111,19 @@ class ClassifierModel:
         hidden_size: int,
         dense_sizes: tuple[int, ...],
         n_classes: int,
+        frame_length: int = DEFAULT_FRAME_LENGTH,
     ) -> None:
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
+        if frame_length < 1:
+            raise ModelError(f"frame_length must be >= 1, got {frame_length}")
         self.cell_type = cell_type
         self.params = params
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         self.dense_sizes = tuple(dense_sizes)
         self.n_classes = n_classes
+        self.frame_length = frame_length
         self._check_dims()
 
     # ------------------------------------------------------------------
@@ -131,14 +138,16 @@ class ClassifierModel:
         hidden_size: int = 20,
         dense_sizes: tuple[int, ...] = (32, 64, 32),
         n_classes: int = 10,
+        frame_length: int = DEFAULT_FRAME_LENGTH,
     ) -> "ClassifierModel":
         """Seeded parameter initialization, tuned so plain gradient descent at
         small rates converges.
 
         Input weights are uniform, the recurrence is orthogonal, memory-gate
-        biases spread log-uniformly over time constants up to one frame, and
-        the relu dense stack is scaled above variance-preservation so the
-        error signal survives the depth.
+        biases spread log-uniformly over time constants up to _GATE_HORIZON
+        steps, and the relu dense stack is scaled above variance-preservation
+        so the error signal survives the depth. frame_length sets no
+        parameter; the model records it.
         """
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
@@ -160,17 +169,17 @@ class ClassifierModel:
                 params[name] = rng.uniform(-bound, bound, shape)
             else:
                 params[name] = np.full(shape, 0.05)
-        # Memory-gate biases spread over log-spaced time constants up to one
-        # frame, so the final hidden state retains multi-scale history from
+        # Memory-gate biases spread over log-spaced time constants up to the
+        # horizon, so the final hidden state retains multi-scale history from
         # the start.
-        spread = np.exp(np.linspace(np.log(2.0), np.log(DEFAULT_FRAME_LENGTH), hidden_size))
+        spread = np.exp(np.linspace(np.log(2.0), np.log(_GATE_HORIZON), hidden_size))
         gate_bias = np.log(spread - 1.0 + 1e-9)
         if cell_type == "gru":
             params["b_z"] = gate_bias
         else:
             params["b_f"] = gate_bias
             params["b_i"] = -gate_bias.copy()
-        return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes)
+        return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes, frame_length)
 
     def _shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return _param_shapes(
@@ -198,6 +207,7 @@ class ClassifierModel:
             self.hidden_size,
             self.dense_sizes,
             self.n_classes,
+            self.frame_length,
         )
 
     # ------------------------------------------------------------------
@@ -206,65 +216,102 @@ class ClassifierModel:
     def _fused(self, prefix: str, gates: tuple[str, ...]) -> np.ndarray:
         return np.concatenate([self.params[f"{prefix}_{g}"] for g in gates], axis=-1)
 
-    def _fused_input(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Time-major input (T, B, D) and the fused input weights W (D, G*H), b (G*H).
+    def _step_params(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Time-major input (T, B, D), fused W (D, G*H), b (G*H) and the recurrent weights.
 
         The per-gate weights are fused on every call (never stored, so edits
         to self.params take effect at once), columns in _FUSED_GATES order,
         after Appleyard et al. 2016 (arXiv:1604.01946): one input projection
-        and, per step, one recurrent matmul and one sigmoid. The GRU keeps U_n
-        apart because the reset gate scales h before it.
+        and, per step, one recurrent matmul. The GRU keeps U_n apart because
+        the reset gate scales h before it.
+
+        Every sigmoid column of W, b and U is halved here, once: a step then
+        takes sigmoid(x) as 0.5 * tanh(x / 2) + 0.5 straight from its
+        pre-activation x / 2, with the same bits as halving x, since halving
+        is exact in binary floating point.
         """
         gates = _FUSED_GATES[self.cell_type]
-        xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-        return xt, self._fused("W", gates), self._fused("b", gates)
+        sig = (len(gates) - 1) * self.hidden_size  # sigmoid gates first, tanh gate last
+        w, b = self._fused("W", gates), self._fused("b", gates)
+        w[:, :sig] *= 0.5
+        b[:sig] *= 0.5
+        if self.cell_type == "gru":
+            u = (self._fused("U", ("z", "r")) * 0.5, self.params["U_n"])
+        else:
+            u = (self._fused("U", gates),)
+            u[0][:, :sig] *= 0.5
+        return np.ascontiguousarray(x.transpose(1, 0, 2)), w, b, u
+
+    def _gate_blocks(self, xt: np.ndarray, w: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        """The input projection x_t @ W + b of each step of a (T, B, D) input,
+        as the (T, B, .) blocks a step takes; the steps write the gate
+        activations over them.
+
+        GRU: a contiguous z|r block, its z and r halves, and a contiguous n
+        block. LSTM: the whole i|f|o|g block, for one tanh over all 4H
+        columns, then its i|f|o part and i, f, o, g. The halves and parts are
+        views, so a step finds each gate without slicing.
+        """
+        hh = self.hidden_size
+        proj = xt @ w
+        proj += b
+        if self.cell_type == "gru":
+            zr = np.ascontiguousarray(proj[..., : 2 * hh])
+            return [zr, zr[..., :hh], zr[..., hh:], np.ascontiguousarray(proj[..., 2 * hh :])]
+        return [proj, proj[..., : 3 * hh], *np.split(proj, 4, axis=-1)]
 
     def _recurrent_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Run the cell over a (B, T, D) batch; returns the time-major BPTT cache.
 
-        Cache: "act" (T, B, G*H) gate activations and "hs" (T + 1, B, H) with
-        hs[t] the state entering step t; the LSTM adds the cell states "cs"
-        (T + 1, B, H) and their tanh "tcs" (T, B, H).
+        Cache: the gate activations, "zr" (T, B, 2H) and "n" (T, B, H) for
+        the GRU, "act" (T, B, 4H) in i f o g order for the LSTM; "hs"
+        (T + 1, B, H) with hs[t] the state entering step t; the LSTM adds the
+        cell states "cs" (T + 1, B, H) and their tanh "tcs" (T, B, H).
         """
-        hh = self.hidden_size
-        xt, w, b = self._fused_input(x)
-        t_count, b_count, _ = xt.shape
-        # Each step overwrites its input projection with the gate activations.
-        act = xt @ w
-        act += b
-        hs = np.zeros((t_count + 1, b_count, hh))
-        cache = {"x": xt, "act": act, "hs": hs}
+        xt, w, b, u = self._step_params(x)
+        blocks = self._gate_blocks(xt, w, b)
+        hs = np.zeros((xt.shape[0] + 1, xt.shape[1], self.hidden_size))
         if self.cell_type == "gru":
-            u_zr, u_n = self._fused("U", ("z", "r")), self.params["U_n"]
-            ax_zr, ax_n = act[..., : 2 * hh], act[..., 2 * hh :]
-            for t in range(t_count):
-                _, ax_zr[t], ax_n[t] = _gru_step(act[t], hs[t], u_zr, u_n, hs[t + 1])
-            return cache
-        u = self._fused("U", _FUSED_GATES["lstm"])
-        cs = cache["cs"] = np.zeros_like(hs)
-        tcs = cache["tcs"] = np.empty_like(hs[1:])
-        for t in range(t_count):
-            _lstm_step(act[t], hs[t], cs[t], u, hs[t + 1], cs[t + 1], tcs[t])
-        return cache
+            scratch = _gru_scratch(hs[0])
+            for t, gates in enumerate(zip(*blocks)):
+                _gru_step(*gates, hs[t], *u, hs[t + 1], *scratch)
+            return {"x": xt, "zr": blocks[0], "n": blocks[3], "hs": hs}
+        cs = np.zeros_like(hs)
+        tcs = np.empty_like(hs[1:])
+        hu, ig, _ = _lstm_scratch(hs[0])
+        for t, gates in enumerate(zip(*blocks)):
+            _lstm_step(*gates, hs[t], cs[t], *u, hs[t + 1], cs[t + 1], tcs[t], hu, ig)
+        return {"x": xt, "act": blocks[0], "hs": hs, "cs": cs, "tcs": tcs}
 
     def _final_state(self, x: np.ndarray) -> np.ndarray:
         """The last hidden state (B, H) of a (B, T, D) batch, keeping only h and c.
 
         Same steps and bits as _recurrent_forward, which also stores every
         step for the gradient pass. Here the input is projected _STEP_CHUNK
-        steps at a time, so memory does not grow with T.
+        steps at a time, so memory does not grow with T, and every step
+        updates h and c in place. numpy computes a stacked (T, B, D) @ W
+        product as one (B, D) product per step, so a chunk of steps gives the
+        same bits as the whole input at once (TestFusedCoreParity compares
+        the two passes).
         """
-        xt, w, b = self._fused_input(x)
+        xt, w, b, u = self._step_params(x)
         h = np.zeros((xt.shape[1], self.hidden_size))
+        steps = (
+            gates
+            for lo in range(0, xt.shape[0], _STEP_CHUNK)
+            for gates in zip(*self._gate_blocks(xt[lo : lo + _STEP_CHUNK], w, b))
+        )
         if self.cell_type == "gru":
-            u_zr, u_n = self._fused("U", ("z", "r")), self.params["U_n"]
-            for a in _step_inputs(xt, w, b):
-                h, _, _ = _gru_step(a, h, u_zr, u_n)
+            scratch = _gru_scratch(h)
+            for gates in steps:
+                _gru_step(*gates, h, *u, h, *scratch)
             return h
-        u = self._fused("U", _FUSED_GATES["lstm"])
         c = np.zeros_like(h)
-        for a in _step_inputs(xt, w, b):
-            h, c = _lstm_step(a, h, c, u)
+        hu, ig, tc = _lstm_scratch(h)
+        for gates in steps:
+            _lstm_step(*gates, h, c, *u, h, c, tc, hu, ig)
         return h
 
     def _dense_forward(self, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -293,6 +340,16 @@ class ClassifierModel:
         return probs[0] if single else probs
 
     def predict(self, tensor: FrameTensor) -> Prediction:
+        """Class of one (frame_length, input_dim) frame tensor.
+
+        A tensor of another length raises ModelError: the model was trained
+        on frames resampled to frame_length steps.
+        """
+        if np.ndim(tensor) != 2 or np.shape(tensor)[0] != self.frame_length:
+            raise ModelError(
+                f"predict takes one ({self.frame_length}, {self.input_dim}) frame tensor, "
+                f"got shape {np.shape(tensor)}"
+            )
         probs = self.forward(tensor)
         return Prediction(class_id=int(np.argmax(probs)) + 1, probabilities=probs)
 
@@ -359,7 +416,8 @@ class ClassifierModel:
     def _gru_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> np.ndarray:
         hh = self.hidden_size
         hs = cache["hs"][:-1]
-        z, r, n = _split_gates(cache["act"], 3)
+        z, r = _split_gates(cache["zr"], 2)
+        n = cache["n"]
         u_zr_t = self._fused("U", ("z", "r")).T
         u_n_t = self.params["U_n"].T
         # Step-independent factors of the pre-activation gradients.
@@ -367,7 +425,7 @@ class ClassifierModel:
         k_n = (1.0 - z) * (1.0 - n * n)  # da_n = dh * k_n
         k_r = hs * r * (1.0 - r)  # da_r = (da_n @ U_n.T) * k_r
         rh = r * hs
-        da = np.empty_like(cache["act"])
+        da = np.empty(n.shape[:2] + (3 * hh,))
         d_u_zr = np.zeros((hh, 2 * hh))
         d_u_n = np.zeros((hh, hh))
         for t in range(len(da) - 1, -1, -1):
@@ -413,53 +471,79 @@ class ClassifierModel:
         return da
 
 
-def _step_inputs(xt: np.ndarray, w: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
-    """The input projection x_t @ W + b (B, G*H) of each step of a (T, B, D) input.
+# One step of each cell. The gate arguments are one step's rows of
+# ClassifierModel._gate_blocks: they hold the input projection, sigmoid
+# columns halved (_step_params), and receive the gate activations. h and c are
+# the states entering the step. The new states (and the LSTM's tanh(c)) go to
+# the out arrays, which may be h and c themselves: the BPTT pass passes its
+# cache slices, the state-only pass h and c. The scratch arrays come from
+# _gru_scratch and _lstm_scratch, allocated once per pass, so a step allocates
+# nothing. Every operation is a ufunc or np.dot with out= (np.dot costs less
+# per call than matmul at these sizes, with the same bits), and the constant
+# _HALF is a 0-d array, which numpy takes faster than a Python float.
 
-    numpy computes a stacked (T, B, D) @ (D, G*H) product as one (B, D)
-    product per step, so a chunk of steps gives the same bits as the whole
-    input at once (TestFusedCoreParity compares the two passes).
-    """
-    for lo in range(0, xt.shape[0], _STEP_CHUNK):
-        proj = xt[lo : lo + _STEP_CHUNK] @ w
-        proj += b
-        yield from proj
+_HALF = np.array(0.5)
 
 
-# One step of each cell, from the step's input projection a (B, G*H) and the
-# states h and c entering it. The out arrays, when given, receive the new
-# states (and the LSTM's tanh(c)): the BPTT cache passes its slices, the
-# state-only pass none. The GRU returns its gate activations for the cache;
-# the LSTM writes them over a.
+def _gru_scratch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h @ U_zr (B, 2H), r * h (B, H) and (r * h) @ U_n (B, H)."""
+    b_count, hh = h.shape
+    return np.empty((b_count, 2 * hh)), np.empty_like(h), np.empty_like(h)
 
 
 def _gru_step(
-    a: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_n: np.ndarray, h_out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    hh = h.shape[1]
-    zr = _sigmoid(a[:, : 2 * hh] + h @ u_zr)
-    z, r = zr[:, :hh], zr[:, hh:]
-    n = np.tanh(a[:, 2 * hh :] + (r * h) @ u_n)
-    return np.add(n, z * (h - n), out=h_out), zr, n  # (1 - z) n + z h
+    a_zr: np.ndarray,
+    z: np.ndarray,
+    r: np.ndarray,
+    n: np.ndarray,
+    h: np.ndarray,
+    u_zr: np.ndarray,
+    u_n: np.ndarray,
+    h_out: np.ndarray,
+    hu_zr: np.ndarray,
+    rh: np.ndarray,
+    rhu_n: np.ndarray,
+) -> None:
+    np.add(a_zr, np.dot(h, u_zr, out=hu_zr), out=a_zr)
+    np.tanh(a_zr, out=a_zr)
+    np.multiply(a_zr, _HALF, out=a_zr)
+    np.add(a_zr, _HALF, out=a_zr)  # z | r
+    np.add(n, np.dot(np.multiply(r, h, out=rh), u_n, out=rhu_n), out=n)
+    np.tanh(n, out=n)
+    np.subtract(h, n, out=h_out)
+    np.multiply(h_out, z, out=h_out)
+    np.add(h_out, n, out=h_out)  # (1 - z) n + z h
+
+
+def _lstm_scratch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h @ U (B, 4H), i * g (B, H) and tanh(c) (B, H)."""
+    b_count, hh = h.shape
+    return np.empty((b_count, 4 * hh)), np.empty_like(h), np.empty_like(h)
 
 
 def _lstm_step(
     a: np.ndarray,
+    sig: np.ndarray,
+    i: np.ndarray,
+    f: np.ndarray,
+    o: np.ndarray,
+    g: np.ndarray,
     h: np.ndarray,
     c: np.ndarray,
     u: np.ndarray,
-    h_out: np.ndarray | None = None,
-    c_out: np.ndarray | None = None,
-    tc_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    hh = h.shape[1]
-    a += h @ u
-    sig, g = a[:, : 3 * hh], a[:, 3 * hh :]
-    _sigmoid(sig, out=sig)
-    np.tanh(g, out=g)
-    i, f, o = sig[:, :hh], sig[:, hh : 2 * hh], sig[:, 2 * hh :]
-    c_out = np.add(f * c, i * g, out=c_out)
-    return np.multiply(o, np.tanh(c_out, out=tc_out), out=h_out), c_out
+    h_out: np.ndarray,
+    c_out: np.ndarray,
+    tc_out: np.ndarray,
+    hu: np.ndarray,
+    ig: np.ndarray,
+) -> None:
+    np.add(a, np.dot(h, u, out=hu), out=a)
+    np.tanh(a, out=a)  # g, and the sigmoid gates' tanh(x / 2)
+    np.multiply(sig, _HALF, out=sig)
+    np.add(sig, _HALF, out=sig)  # i | f | o
+    np.multiply(f, c, out=c_out)
+    np.add(c_out, np.multiply(i, g, out=ig), out=c_out)
+    np.multiply(o, np.tanh(c_out, out=tc_out), out=h_out)
 
 
 def _split_gates(fused: np.ndarray, count: int) -> list[np.ndarray]:
@@ -575,7 +659,9 @@ def train(
     """Train on (N, T, 4) tensors with class-id labels; fully seeded.
 
     Uses a stratified train/validation split and records per-epoch loss and
-    accuracy on both sides, and each epoch's wall time.
+    accuracy on both sides, and each epoch's wall time. The model's
+    frame_length is T. A split that holds out no frame, or keeps none for
+    training, raises InvalidParameterError.
     """
     cfg = cfg or TrainConfig()
     tensors = np.asarray(tensors, dtype=np.float64)
@@ -585,15 +671,7 @@ def train(
     if labels.shape[0] != tensors.shape[0]:
         raise InvalidParameterError("labels must align with tensors")
 
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
-    if train_idx.size == 0:
-        raise InvalidParameterError("training split is empty; dataset too small")
-    x_train, y_train = tensors[train_idx], labels[train_idx]
-    x_val, y_val = tensors[val_idx], labels[val_idx]
-    y_train_1h = one_hot(y_train, n_classes)
-    y_val_1h = one_hot(y_val, n_classes) if val_idx.size else None
-
+    # Initialized first, so a bad model size is reported before a bad split.
     model = ClassifierModel.initialize(
         cell_type=cell_type,
         seed=cfg.seed,
@@ -601,7 +679,22 @@ def train(
         hidden_size=hidden_size,
         dense_sizes=dense_sizes,
         n_classes=n_classes,
+        frame_length=tensors.shape[1],
     )
+    rng = np.random.default_rng(cfg.seed)
+    train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
+    if train_idx.size == 0:
+        raise InvalidParameterError("training split is empty; dataset too small")
+    if val_idx.size == 0:
+        raise InvalidParameterError(
+            f"validation split is empty: val_fraction {cfg.val_fraction} holds out no frame "
+            "of any class; dataset too small"
+        )
+    x_train, y_train = tensors[train_idx], labels[train_idx]
+    x_val, y_val = tensors[val_idx], labels[val_idx]
+    y_train_1h = one_hot(y_train, n_classes)
+    y_val_1h = one_hot(y_val, n_classes)
+
     history = TrainHistory()
     n = x_train.shape[0]
     for _ in range(cfg.epochs):
@@ -617,12 +710,9 @@ def train(
             correct += int((np.argmax(probs, axis=1) + 1 == y_train[sel]).sum())
         history.train_loss.append(float(np.mean(losses)))
         history.train_acc.append(correct / n)
-        if y_val_1h is not None:
-            val_probs = _batched_forward(model, x_val)
-            history.val_loss.append(cross_entropy(val_probs, y_val_1h))
-            history.val_acc.append(
-                float((np.argmax(val_probs, axis=1) + 1 == y_val).mean())
-            )
+        val_probs = _batched_forward(model, x_val)
+        history.val_loss.append(cross_entropy(val_probs, y_val_1h))
+        history.val_acc.append(float((np.argmax(val_probs, axis=1) + 1 == y_val).mean()))
         history.epoch_seconds.append(time.perf_counter() - t0)
     return model, history
 
@@ -682,17 +772,22 @@ def evaluate(model: ClassifierModel, tensors: np.ndarray, labels: np.ndarray) ->
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    """Versioned binary: magic, dims header, then row-major float64 blocks."""
+    """CAPM v2: magic, dims header, then row-major float64 blocks, plus a JSON sidecar.
+
+    Header, all <u4 after the magic: version, cell code, input_dim, hidden,
+    n_classes, frame_length, dense count, dense sizes.
+    """
     path = Path(path)
     cell_code = CELL_TYPES.index(model.cell_type)
     header = struct.pack(
-        "<4sIIIII",
+        "<4sIIIIII",
         _MAGIC,
         _FORMAT_VERSION,
         cell_code,
         model.input_dim,
         model.hidden_size,
         model.n_classes,
+        model.frame_length,
     )
     header += struct.pack("<I", len(model.dense_sizes))
     header += struct.pack(f"<{len(model.dense_sizes)}I", *model.dense_sizes)
@@ -707,13 +802,16 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         "hidden_size": model.hidden_size,
         "dense_sizes": list(model.dense_sizes),
         "n_classes": model.n_classes,
+        "frame_length": model.frame_length,
         "parameters": model.param_order(),
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    """Read a CAPM v1 file; raises ModelError on any malformed or cut-off file."""
+    """Read a CAPM v2 file, or a v1 file as frame_length 256 (v1 has no
+    frame_length field); raises ModelError on any malformed or cut-off file
+    or any other version."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ModelError(f"{path}: not a capstream model file")
@@ -724,14 +822,20 @@ def load_model(path: str | Path) -> ClassifierModel:
         except struct.error:
             raise ModelError(f"{path}: header cut off at byte {len(data)}") from None
 
-    version, cell_code, input_dim, hidden, n_classes = unpack("<IIIII", 4)
-    if version != _FORMAT_VERSION:
+    (version,) = unpack("<I", 4)
+    if version not in (1, _FORMAT_VERSION):
         raise ModelError(f"{path}: unsupported format version {version}")
+    cell_code, input_dim, hidden, n_classes = unpack("<IIII", 8)
+    offset = 24
+    frame_length = _V1_FRAME_LENGTH
+    if version == _FORMAT_VERSION:
+        (frame_length,) = unpack("<I", offset)
+        offset += 4
     if cell_code >= len(CELL_TYPES):
         raise ModelError(f"{path}: unknown cell code {cell_code}")
-    (n_dense,) = unpack("<I", 24)
-    dense_sizes = unpack(f"<{n_dense}I", 28)
-    offset = 28 + 4 * n_dense
+    (n_dense,) = unpack("<I", offset)
+    dense_sizes = unpack(f"<{n_dense}I", offset + 4)
+    offset += 4 + 4 * n_dense
     cell_type = CELL_TYPES[cell_code]
 
     shapes = _param_shapes(cell_type, input_dim, hidden, dense_sizes, n_classes)
@@ -744,4 +848,6 @@ def load_model(path: str | Path) -> ClassifierModel:
         block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         params[name] = block.reshape(shape).astype(np.float64)
-    return ClassifierModel(cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes)
+    return ClassifierModel(
+        cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes, frame_length
+    )

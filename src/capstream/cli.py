@@ -149,13 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=10, help="examples per update [count] (default: 10)")
     p.add_argument("--learning-rate", type=float, default=0.005, help="gradient-descent step [1/step] (default: 0.005)")
     p.add_argument("--hidden", type=int, default=20, help="recurrent hidden units [count] (default: 20)")
-    p.add_argument("--frame-length", type=int, default=256, help="resampled frame length [samples] (default: 256)")
+    p.add_argument("--frame-length", type=int, default=classifier.DEFAULT_FRAME_LENGTH,
+                   help="resampled frame length, recorded in the model file [samples] "
+                        f"(default: {classifier.DEFAULT_FRAME_LENGTH})")
     _add_tuning_flags(p, _DETECT_TABLES)
 
-    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory")
+    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory at the model's frame length")
     p.add_argument("--model", required=True, help="model file from train [path] (required)")
     p.add_argument("--data", required=True, help="dataset directory [path] (required)")
-    p.add_argument("--frame-length", type=int, default=256, help="resampled frame length [samples] (default: 256)")
     p.add_argument("--csv-out", default=None, help="metrics CSV [path] (default: stdout table only)")
     _add_tuning_flags(p, _DETECT_TABLES)
 
@@ -300,8 +301,7 @@ def _cmd_train(args, file_cfg) -> int:
         tensors, labels, cfg, cell_type=args.cell, hidden_size=args.hidden
     )
     classifier.save_model(model, args.out)
-    val = history.val_acc[-1] if history.val_acc else float("nan")
-    print(f"trained {args.cell} on {len(labels)} frames: final val_acc={val:.4f} -> {args.out}")
+    print(f"trained {args.cell} on {len(labels)} frames: final val_acc={history.val_acc[-1]:.4f} -> {args.out}")
     return EXIT_OK
 
 
@@ -310,7 +310,7 @@ def _cmd_eval(args, file_cfg) -> int:
     recs = storage.load_dataset(args.data)
     det_cfg = _detector_config(args, file_cfg)
     dsp_cfg = _dsp_config(args, file_cfg)
-    tensors, labels = dataset.dataset_tensors(recs, dsp_cfg, det_cfg, length=args.frame_length)
+    tensors, labels = dataset.dataset_tensors(recs, dsp_cfg, det_cfg, length=model.frame_length)
     report = classifier.evaluate(model, tensors, labels)
     print(f"accuracy: {report.accuracy:.4f}")
     print(f"macro precision/recall/f1: {report.macro_precision:.4f} "

@@ -21,7 +21,7 @@ from typing import Callable, IO, Iterator
 
 import numpy as np
 
-from .classifier import ClassifierModel, frame_to_tensor
+from .classifier import DEFAULT_FRAME_LENGTH, ClassifierModel, frame_to_tensor
 from .detector import AdaptiveThresholdDetector, DetectorConfig
 from .dsp import DspConfig, StreamingConditioner
 from .errors import InvalidParameterError
@@ -244,10 +244,14 @@ def run_pipeline(
     Everything runs on the calling thread. Rows are buffered up to the
     detector's next_emit_index and fed as one block, so no frame is held past
     the row that closes it; each frame the detector returns is classified and
-    its message emitted before the next row is read. Returns once the source
-    ends; an error in any stage propagates to the caller.
+    its message emitted before the next row is read. Each frame is resampled
+    to the model's frame_length. Returns once the source ends; an error in
+    any stage propagates to the caller.
     """
     rate = source.sampling_rate
+    # Wrappers that expose only predict (benchmark and test fakes) get the
+    # default; one wrapping a model of another length then fails in predict.
+    length = getattr(model, "frame_length", DEFAULT_FRAME_LENGTH)
     t_start = time.monotonic()
     samples = 0
     max_latency = 0.0
@@ -269,7 +273,7 @@ def run_pipeline(
         frames = detector.push_block(expected - processed.shape[1], processed)
         t_detected = time.monotonic()
         for frame in frames:
-            pred = model.predict(frame_to_tensor(frame))
+            pred = model.predict(frame_to_tensor(frame, length))
             msg = CommandMessage.for_class(
                 class_id=pred.class_id,
                 frame_index=frame.k,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import struct
 import tracemalloc
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capstream.classifier import (
+    DEFAULT_FRAME_LENGTH,
     ClassifierModel,
     TrainConfig,
+    _softmax,
     backward_and_update,
     cross_entropy,
     evaluate,
@@ -141,9 +144,16 @@ class TestForward:
 
     def test_predict_returns_class_id(self):
         model = _toy(classes=10, dense=(8,))
-        pred = model.predict(np.random.default_rng(1).normal(size=(5, 4)))
+        pred = model.predict(np.random.default_rng(1).normal(size=(model.frame_length, 4)))
         assert 1 <= pred.class_id <= 10
         assert pred.probabilities.shape == (10,)
+
+    @pytest.mark.parametrize("steps", [DEFAULT_FRAME_LENGTH // 2, 2 * DEFAULT_FRAME_LENGTH])
+    def test_predict_rejects_another_frame_length(self, steps):
+        model = _toy(classes=10, dense=(8,))
+        assert model.frame_length == DEFAULT_FRAME_LENGTH
+        with pytest.raises(ModelError, match=f"\\({DEFAULT_FRAME_LENGTH}, 4\\) frame tensor"):
+            model.predict(np.zeros((steps, 4)))
 
 
 class TestFusedCoreParity:
@@ -168,6 +178,19 @@ class TestFusedCoreParity:
         loss, _, probs = model._loss_gradients_probs(x, y)
         np.testing.assert_array_equal(probs, model.forward(x))
         assert loss == cross_entropy(probs, y)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_forward_bits_equal_gradient_pass_state(self, cell, batch, steps, scale):
+        # Both passes run the same step kernel; x3 weights saturate the gates.
+        model = ClassifierModel.initialize(cell, seed=4)
+        for name in model.params:
+            model.params[name] *= scale
+        x = np.random.default_rng(batch * steps).normal(size=(batch, steps, 4))
+        logits, _ = model._dense_forward(model._recurrent_forward(x)["hs"][-1])
+        np.testing.assert_array_equal(model.forward(x), _softmax(logits))
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     def test_forward_keeps_no_bptt_cache(self, cell):
@@ -196,6 +219,21 @@ class TestFusedCoreParity:
         tensors, labels = _toy_dataset(n_per_class=3, classes=10, t=32)
         _, history = train(tensors, labels, TrainConfig(epochs=3, batch_size=10, seed=3), cell_type=cell)
         np.testing.assert_allclose(history.train_loss, self.PER_GATE_TRAIN_LOSS[cell], rtol=1e-9)
+
+    # train_loss and val_loss of this run, recorded from the step kernel that
+    # allocated its results on every step.
+    ALLOCATING_STEP_LOSSES = {
+        "gru": ([6.600587556474777, 4.9840882500751], [6.484987426148903, 5.880325524339751]),
+        "lstm": ([12.541863430945575, 8.399887669083832], [7.723228465636538, 6.182023839571084]),
+    }
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_train_losses_bit_equal_allocating_step(self, cell):
+        tensors, labels = _toy_dataset(n_per_class=3, classes=10, t=128, seed=1)
+        _, history = train(tensors, labels, TrainConfig(epochs=2, batch_size=10, seed=5), cell_type=cell)
+        train_loss, val_loss = self.ALLOCATING_STEP_LOSSES[cell]
+        np.testing.assert_array_equal(history.train_loss, train_loss)
+        np.testing.assert_array_equal(history.val_loss, val_loss)
 
 
 class TestLoss:
@@ -352,6 +390,18 @@ class TestTrain:
         with pytest.raises(InvalidParameterError):
             train(np.zeros((0, 8, 4)), np.zeros(0, dtype=int))
 
+    def test_empty_validation_split_rejected(self):
+        # round(2 * 0.2) = 0 frames held out per class.
+        tensors, labels = _toy_dataset(n_per_class=2)
+        with pytest.raises(InvalidParameterError, match="validation split is empty"):
+            train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,), n_classes=3)
+
+    def test_model_records_tensor_length(self):
+        tensors, labels = _toy_dataset(t=24)
+        model, _ = train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,), n_classes=3)
+        assert model.frame_length == 24
+        assert model.copy().frame_length == 24
+
     def test_epoch_seconds_per_epoch(self):
         tensors, labels = _toy_dataset()
         cfg = TrainConfig(epochs=3, batch_size=6, seed=2)
@@ -431,6 +481,14 @@ class TestPersistence:
         for k in model.params:
             np.testing.assert_array_equal(loaded.params[k], model.params[k])
 
+    def test_round_trip_keeps_frame_length(self, tmp_path):
+        model = ClassifierModel.initialize("gru", seed=1, hidden_size=3, dense_sizes=(4,), frame_length=77)
+        save_model(model, tmp_path / "m.bin")
+        assert load_model(tmp_path / "m.bin").frame_length == 77
+        sidecar = json.loads((tmp_path / "m.bin.json").read_text())
+        assert sidecar["format_version"] == 2
+        assert sidecar["frame_length"] == 77
+
     def test_prediction_survives_round_trip(self, tmp_path):
         model = _toy(seed=10, classes=10, dense=(8,))
         x = np.random.default_rng(5).normal(size=(6, 4))
@@ -460,21 +518,49 @@ class TestPersistence:
         with pytest.raises(ModelError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"CAPM" + struct.pack("<5I", 2, 0, 4, 3, 2), "cut off"),  # ends before frame_length
+            (b"CAPM" + struct.pack("<6I", 2, 0, 4, 3, 2, 128), "cut off"),  # ends before dense count
+            (b"CAPM" + struct.pack("<8I", 3, 0, 4, 3, 2, 128, 1, 4), "unsupported format version 3"),
+        ],
+        ids=["v2-before-frame-length", "v2-before-dense-count", "v3"],
+    )
+    def test_v2_header_faults_rejected(self, tmp_path, data, message):
+        path = tmp_path / "m.bin"
+        path.write_bytes(data)
+        with pytest.raises(ModelError, match=message):
+            load_model(path)
+
+    def test_v2_frame_length_zero_rejected(self, tmp_path):
+        model = ClassifierModel.initialize("gru", seed=1, hidden_size=3, dense_sizes=(4,), n_classes=2)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", 0)  # frame_length
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelError, match="frame_length must be >= 1"):
+            load_model(path)
+
     def test_reads_v1_layout(self, tmp_path):
-        # Oracle: the CAPM v1 layout packed by hand. Header: magic, version,
-        # cell code, input_dim, hidden, n_classes, dense count, dense sizes
-        # (all <u4); then every parameter as row-major <f8, gates in i f g o
-        # order, then the dense layers.
+        # Oracle: the CAPM v1 and v2 layouts packed by hand. v1 header:
+        # magic, version, cell code, input_dim, hidden, n_classes, dense
+        # count, dense sizes (all <u4); v2 adds frame_length after n_classes.
+        # Then every parameter as row-major <f8, gates in i f g o order, then
+        # the dense layers. A v1 file reads as frame_length 256 and saves
+        # back as v2.
         model = _toy(cell="lstm", seed=8, hidden=3, dense=(5, 2), classes=4)
         order = [f"{k}_{g}" for g in "ifgo" for k in "WUb"]
         order += [f"D{layer}_{k}" for layer in range(3) for k in "Wb"]
-        blob = struct.pack("<4s8I", b"CAPM", 1, 1, 4, 3, 4, 2, 5, 2)
-        blob += b"".join(model.params[name].astype("<f8").tobytes() for name in order)
+        params = b"".join(model.params[name].astype("<f8").tobytes() for name in order)
         path = tmp_path / "v1.bin"
-        path.write_bytes(blob)
+        path.write_bytes(struct.pack("<4s8I", b"CAPM", 1, 1, 4, 3, 4, 2, 5, 2) + params)
         loaded = load_model(path)
+        assert loaded.frame_length == 256
         assert sorted(loaded.params) == sorted(order)
         for name in order:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         save_model(loaded, tmp_path / "again.bin")
-        assert (tmp_path / "again.bin").read_bytes() == blob
+        v2 = struct.pack("<4s9I", b"CAPM", 2, 1, 4, 3, 4, 256, 2, 5, 2) + params
+        assert (tmp_path / "again.bin").read_bytes() == v2

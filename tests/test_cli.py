@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from capstream.classifier import evaluate, load_model
 from capstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from capstream.dataset import dataset_tensors
 from capstream.simulate import generate_gesture
 from capstream.storage import (
     labels_path_for,
+    load_dataset,
     load_frame_index,
     load_labels,
     load_manifest,
@@ -51,7 +54,7 @@ _ACCEPTED_DESTS = {
     "detect": {"recording", "out_dir"} | _DETECTION_DESTS,
     "train": {"seed", "data", "cell", "out", "epochs", "batch_size", "learning_rate", "hidden",
               "frame_length"} | _DETECTION_DESTS,
-    "eval": {"model", "data", "frame_length", "csv_out"} | _DETECTION_DESTS,
+    "eval": {"model", "data", "csv_out"} | _DETECTION_DESTS,
     "eval-detect": {"frames", "labels", "iou_min", "csv_out"},
     "run": {"source", "model", "socket", "no_socket", "unpaced", "rate", "log"} | _DETECTION_DESTS,
     "consume": {"listen", "max_messages"},
@@ -66,7 +69,7 @@ class TestInterface:
             for name, sub in subparsers.choices.items()
         }
         assert {name: set(dests) for name, dests in accepted.items()} == _ACCEPTED_DESTS
-        assert sum(len(dests) for dests in accepted.values()) == 89
+        assert sum(len(dests) for dests in accepted.values()) == 88
 
     @pytest.mark.parametrize(
         "argv",
@@ -84,6 +87,7 @@ class TestInterface:
             ["detect", "rec.csv", "--rate", "53"],
             ["train", "--data", "data", "--out", "m.bin", "--lpf-cutoff", "10"],
             ["eval", "--model", "m.bin", "--data", "data", "--seed", "1"],
+            ["eval", "--model", "m.bin", "--data", "data", "--frame-length", "64"],
             ["eval-detect", "frames.csv", "labels.csv", "--config", "exp.cfg"],
             ["run", "--source", "file:rec.csv", "--model", "m.bin", "--frame-length", "64"],
             ["run", "--source", "file:rec.csv", "--model", "m.bin", "--lpf-cutoff", "10"],
@@ -401,3 +405,30 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not model_path.exists()
+
+    def test_empty_validation_split_is_config_error(self, tmp_path, capsys):
+        # 2 frames per class: round(2 * 0.2) = 0 held out, so no val_acc.
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "dataset", "--classes", "3", "--per-class", "2",
+              "--seed", "4", "--out", str(data)])
+        model_path = tmp_path / "model.bin"
+        code = main(["train", "--data", str(data), "--out", str(model_path), "--epochs", "1"])
+        assert code == EXIT_CONFIG
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_eval_reads_the_frame_length_from_the_model(self, tmp_path):
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "dataset", "--classes", "3", "--per-class", "4",
+              "--seed", "13", "--out", str(data)])
+        model_path = tmp_path / "model.bin"
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--epochs", "2",
+                     "--frame-length", "48"]) == EXIT_OK
+        model = load_model(model_path)
+        assert model.frame_length == 48
+        assert main(["eval", "--model", str(model_path), "--data", str(data),
+                     "--csv-out", str(tmp_path / "metrics.csv")]) == EXIT_OK
+        tensors, labels = dataset_tensors(load_dataset(data), length=48)
+        accuracy = evaluate(model, tensors, labels).accuracy
+        rows = list(csv.reader((tmp_path / "metrics.csv").open()))
+        assert rows[-1] == ["accuracy", f"{accuracy:.6f}", "", ""]

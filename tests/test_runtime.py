@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from capstream.classifier import ClassifierModel
+from capstream.classifier import ClassifierModel, frame_to_tensor
 from capstream.detector import AdaptiveThresholdDetector, run_detector
 from capstream.dsp import StreamingConditioner
 from capstream.errors import InvalidParameterError, OrderingError
@@ -133,6 +133,16 @@ class TestPipeline:
         assert len(set(indices)) == len(indices)
         for msg in result.messages:
             assert msg.command == COMMANDS[msg.class_id]
+
+    def test_frames_resampled_to_the_model_frame_length(self, short_session):
+        model = ClassifierModel.initialize("gru", seed=0, frame_length=256)
+        frames = run_detector(short_session.stream)
+        src = FileReplaySource.from_stream(short_session.stream, pacing="unpaced")
+        result = run_pipeline(src, PipelineConfig(), model)
+        assert [m.frame_index for m in result.messages] == [f.k for f in frames]
+        for msg, frame in zip(result.messages, frames):
+            pred = model.predict(frame_to_tensor(frame, 256))
+            assert (msg.class_id, msg.probability) == (pred.class_id, float(pred.probabilities.max()))
 
     def test_messages_logged_even_without_socket_peer(self, short_session, plumbing_model, tmp_path):
         log_path = tmp_path / "messages.ndjson"
