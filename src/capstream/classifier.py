@@ -13,7 +13,9 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -274,15 +276,11 @@ class ClassifierModel:
         blocks = self._gate_blocks(xt, w, b)
         hs = np.zeros((xt.shape[0] + 1, xt.shape[1], self.hidden_size))
         if self.cell_type == "gru":
-            scratch = _gru_scratch(hs[0])
-            for t, gates in enumerate(zip(*blocks)):
-                _gru_step(*gates, hs[t], *u, hs[t + 1], *scratch)
+            _gru_steps(*blocks, *u, hs, hs[1:])
             return {"x": xt, "zr": blocks[0], "n": blocks[3], "hs": hs}
         cs = np.zeros_like(hs)
         tcs = np.empty_like(hs[1:])
-        hu, ig, _ = _lstm_scratch(hs[0])
-        for t, gates in enumerate(zip(*blocks)):
-            _lstm_step(*gates, hs[t], cs[t], *u, hs[t + 1], cs[t + 1], tcs[t], hu, ig)
+        _lstm_steps(*blocks, *u, hs, cs, hs[1:], cs[1:], tcs)
         return {"x": xt, "act": blocks[0], "hs": hs, "cs": cs, "tcs": tcs}
 
     def _final_state(self, x: np.ndarray) -> np.ndarray:
@@ -298,20 +296,13 @@ class ClassifierModel:
         """
         xt, w, b, u = self._step_params(x)
         h = np.zeros((xt.shape[1], self.hidden_size))
-        steps = (
-            gates
-            for lo in range(0, xt.shape[0], _STEP_CHUNK)
-            for gates in zip(*self._gate_blocks(xt[lo : lo + _STEP_CHUNK], w, b))
-        )
-        if self.cell_type == "gru":
-            scratch = _gru_scratch(h)
-            for gates in steps:
-                _gru_step(*gates, h, *u, h, *scratch)
-            return h
-        c = np.zeros_like(h)
-        hu, ig, tc = _lstm_scratch(h)
-        for gates in steps:
-            _lstm_step(*gates, h, c, *u, h, c, tc, hu, ig)
+        c, tc = np.zeros_like(h), np.empty_like(h)
+        for lo in range(0, xt.shape[0], _STEP_CHUNK):
+            blocks = self._gate_blocks(xt[lo : lo + _STEP_CHUNK], w, b)
+            if self.cell_type == "gru":
+                _gru_steps(*blocks, *u, repeat(h), repeat(h))
+            else:
+                _lstm_steps(*blocks, *u, repeat(h), repeat(c), repeat(h), repeat(c), repeat(tc))
         return h
 
     def _dense_forward(self, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -471,79 +462,74 @@ class ClassifierModel:
         return da
 
 
-# One step of each cell. The gate arguments are one step's rows of
-# ClassifierModel._gate_blocks: they hold the input projection, sigmoid
-# columns halved (_step_params), and receive the gate activations. h and c are
-# the states entering the step. The new states (and the LSTM's tanh(c)) go to
-# the out arrays, which may be h and c themselves: the BPTT pass passes its
-# cache slices, the state-only pass h and c. The scratch arrays come from
-# _gru_scratch and _lstm_scratch, allocated once per pass, so a step allocates
-# nothing. Every operation is a ufunc or np.dot with out= (np.dot costs less
-# per call than matmul at these sizes, with the same bits), and the constant
-# _HALF is a 0-d array, which numpy takes faster than a Python float.
+# The recurrent loop of each cell. The gate arguments are the (T, B, .)
+# blocks of ClassifierModel._gate_blocks: they hold the input projection,
+# sigmoid columns halved (_step_params), and receive the gate activations.
+# Step t reads the states h_in[t] (and c_in[t]) and writes the new states (and
+# the LSTM's tanh(c)) to h_out[t] (c_out[t], tc_out[t]). The BPTT pass passes
+# its cache, so hs[t + 1] follows hs[t]; the state-only pass passes
+# itertools.repeat of h and c, which every step updates in place. The scratch
+# arrays are allocated once per call, so a step allocates nothing. Every
+# operation is a ufunc or np.dot, bound to a local, with out given
+# positionally (np.dot costs less per call than matmul at these sizes, with
+# the same bits); the constant _HALF is a 0-d array, which numpy takes faster
+# than a Python float.
 
 _HALF = np.array(0.5)
 
 
-def _gru_scratch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h @ U_zr (B, 2H), r * h (B, H) and (r * h) @ U_n (B, H)."""
-    b_count, hh = h.shape
-    return np.empty((b_count, 2 * hh)), np.empty_like(h), np.empty_like(h)
-
-
-def _gru_step(
+def _gru_steps(
     a_zr: np.ndarray,
     z: np.ndarray,
     r: np.ndarray,
     n: np.ndarray,
-    h: np.ndarray,
     u_zr: np.ndarray,
     u_n: np.ndarray,
-    h_out: np.ndarray,
-    hu_zr: np.ndarray,
-    rh: np.ndarray,
-    rhu_n: np.ndarray,
+    h_in: Iterable[np.ndarray],
+    h_out: Iterable[np.ndarray],
 ) -> None:
-    np.add(a_zr, np.dot(h, u_zr, out=hu_zr), out=a_zr)
-    np.tanh(a_zr, out=a_zr)
-    np.multiply(a_zr, _HALF, out=a_zr)
-    np.add(a_zr, _HALF, out=a_zr)  # z | r
-    np.add(n, np.dot(np.multiply(r, h, out=rh), u_n, out=rhu_n), out=n)
-    np.tanh(n, out=n)
-    np.subtract(h, n, out=h_out)
-    np.multiply(h_out, z, out=h_out)
-    np.add(h_out, n, out=h_out)  # (1 - z) n + z h
+    add, mul, sub, tanh, dot, half = np.add, np.multiply, np.subtract, np.tanh, np.dot, _HALF
+    rh = np.empty(n.shape[1:])
+    hu_zr, rhu_n = np.empty(a_zr.shape[1:]), np.empty_like(rh)  # h @ U_zr, (r * h) @ U_n
+    for a, z_t, r_t, n_t, h, h_next in zip(a_zr, z, r, n, h_in, h_out):
+        add(a, dot(h, u_zr, hu_zr), a)
+        tanh(a, a)
+        mul(a, half, a)
+        add(a, half, a)  # z | r
+        add(n_t, dot(mul(r_t, h, rh), u_n, rhu_n), n_t)
+        tanh(n_t, n_t)
+        sub(h, n_t, h_next)
+        mul(h_next, z_t, h_next)
+        add(h_next, n_t, h_next)  # (1 - z) n + z h
 
 
-def _lstm_scratch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h @ U (B, 4H), i * g (B, H) and tanh(c) (B, H)."""
-    b_count, hh = h.shape
-    return np.empty((b_count, 4 * hh)), np.empty_like(h), np.empty_like(h)
-
-
-def _lstm_step(
-    a: np.ndarray,
+def _lstm_steps(
+    act: np.ndarray,
     sig: np.ndarray,
     i: np.ndarray,
     f: np.ndarray,
     o: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
     u: np.ndarray,
-    h_out: np.ndarray,
-    c_out: np.ndarray,
-    tc_out: np.ndarray,
-    hu: np.ndarray,
-    ig: np.ndarray,
+    h_in: Iterable[np.ndarray],
+    c_in: Iterable[np.ndarray],
+    h_out: Iterable[np.ndarray],
+    c_out: Iterable[np.ndarray],
+    tc_out: Iterable[np.ndarray],
 ) -> None:
-    np.add(a, np.dot(h, u, out=hu), out=a)
-    np.tanh(a, out=a)  # g, and the sigmoid gates' tanh(x / 2)
-    np.multiply(sig, _HALF, out=sig)
-    np.add(sig, _HALF, out=sig)  # i | f | o
-    np.multiply(f, c, out=c_out)
-    np.add(c_out, np.multiply(i, g, out=ig), out=c_out)
-    np.multiply(o, np.tanh(c_out, out=tc_out), out=h_out)
+    add, mul, tanh, dot, half = np.add, np.multiply, np.tanh, np.dot, _HALF
+    ig = np.empty(g.shape[1:])
+    hu = np.empty(act.shape[1:])  # h @ U
+    for a, s, i_t, f_t, o_t, g_t, h, c, h_next, c_next, tc in zip(
+        act, sig, i, f, o, g, h_in, c_in, h_out, c_out, tc_out
+    ):
+        add(a, dot(h, u, hu), a)
+        tanh(a, a)  # g, and the sigmoid gates' tanh(x / 2)
+        mul(s, half, s)
+        add(s, half, s)  # i | f | o
+        mul(f_t, c, c_next)
+        add(c_next, mul(i_t, g_t, ig), c_next)
+        mul(o_t, tanh(c_next, tc), h_next)
 
 
 def _split_gates(fused: np.ndarray, count: int) -> list[np.ndarray]:

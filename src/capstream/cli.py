@@ -225,8 +225,7 @@ def _cmd_simulate(args, file_cfg) -> int:
 def _cmd_process(args, file_cfg) -> int:
     stream = storage.load_recording(args.recording)
     processed = dsp.weighted_smoothed_difference(stream, _dsp_config(args, file_cfg))
-    with _open_out(args.out) as fh:
-        storage._write_samples(fh, storage.RECORDING_HEADER, processed.start_index, processed.values)
+    storage.write_samples(args.out or sys.stdout, processed.values, processed.start_index)
     return EXIT_OK
 
 

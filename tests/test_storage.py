@@ -93,8 +93,66 @@ def _awkward_values(n, seed=0):
     return values
 
 
+def _near_halves(n, seed):
+    """(4, n // 4) values whose |v| * 1e6 lies a few ulps either side of k + 0.5."""
+    rng = np.random.default_rng(seed)
+    halves = np.floor(10.0 ** rng.uniform(0.0, 12.0, n)) + 0.5
+    scaled = halves + rng.integers(-3, 4, n) * np.spacing(halves)
+    return (scaled / 1e6 * rng.choice([-1.0, 1.0], n)).reshape(4, -1)
+
+
+def _finite_bit_patterns(n, seed):
+    """(4, n // 4) random float64 bit patterns, subnormals up to about 1e300, either sign."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    exponents = rng.integers(0, 1023 + 997, n, dtype=np.uint64)
+    bits = (bits & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+    return bits.view(np.float64).reshape(4, -1)
+
+
+def _around_the_bound():
+    """Values a few ulps either side of 1e6 and of 999999.9999995, which rounds up to it."""
+    centres = np.repeat([1e6, 999999.9999995], 7)
+    values = centres + np.tile(np.arange(-3, 4), 2) * np.spacing(centres)
+    return np.concatenate([values, -values]).reshape(4, -1)
+
+
 class TestGoldenBytes:
     """The writer's output equals the csv-module formula, not just itself."""
+
+    @pytest.mark.parametrize(
+        "values, first_index",
+        [
+            (_near_halves(4 * 6000, seed=3), 0),
+            (_finite_bit_patterns(4 * 3000, seed=4), 0),
+            (_around_the_bound(), 0),
+            (np.array([[-0.0, 0.0, -1e-300, 4.9e-7]] * 4), 0),
+            (_awkward_values(4096 + 11, seed=5), 2**40 + 7),
+        ],
+        ids=["near-halves", "bit-patterns", "exactness-bound", "negative-zero", "index-above-2^40"],
+    )
+    def test_hard_cells_equal_csv_module(self, values, first_index):
+        out = io.BytesIO()
+        storage.write_samples(out, values, first_index)
+        assert out.getvalue() == _csv_module_bytes(first_index, values)
+
+    def test_frame_dump_crossing_a_chunk_equals_csv_module(self, tmp_path):
+        values = _awkward_values(64 * 97, seed=6)
+        frames = [
+            GestureFrame(k=k, start=5 + 97 * (k - 1), end=5 + 97 * k - 1, channels=values[:, 97 * (k - 1) : 97 * k])
+            for k in range(1, 65)
+        ]
+        frames[30].channels = None  # listed in the index, written to no file
+        save_frames(tmp_path / "frames", frames)
+        assert [(f.k, f.start, f.end) for f in load_frame_index(tmp_path / "frames" / "frames_index.csv")] == [
+            (f.k, f.start, f.end) for f in frames
+        ]
+        written = sorted(p.name for p in (tmp_path / "frames").glob("frame_*.csv"))
+        assert written == [f"frame_{f.k:04d}.csv" for f in frames if f.channels is not None]
+        for frame in frames:
+            if frame.channels is not None:
+                got = (tmp_path / "frames" / f"frame_{frame.k:04d}.csv").read_bytes()
+                assert got == _csv_module_bytes(frame.start, frame.channels)
 
     def test_recording_bytes_cross_a_chunk_boundary(self, tmp_path):
         values = _awkward_values(4096 + 37)
