@@ -251,17 +251,20 @@ class ClassifierModel:
         as the (T, B, .) blocks a step takes; the steps write the gate
         activations over them.
 
-        GRU: a contiguous z|r block, its z and r halves, and a contiguous n
-        block. LSTM: the whole i|f|o|g block, for one tanh over all 4H
+        GRU: a z|r block, its z and r halves, and an n block; z|r and n are
+        projected apart, so both are contiguous. LSTM: the whole i|f|o|g block, for one tanh over all 4H
         columns, then its i|f|o part and i, f, o, g. The halves and parts are
         views, so a step finds each gate without slicing.
         """
         hh = self.hidden_size
+        if self.cell_type == "gru":
+            zr = np.matmul(xt, w[:, : 2 * hh])
+            zr += b[: 2 * hh]
+            n = np.matmul(xt, w[:, 2 * hh :])
+            n += b[2 * hh :]
+            return [zr, zr[..., :hh], zr[..., hh:], n]
         proj = xt @ w
         proj += b
-        if self.cell_type == "gru":
-            zr = np.ascontiguousarray(proj[..., : 2 * hh])
-            return [zr, zr[..., :hh], zr[..., hh:], np.ascontiguousarray(proj[..., 2 * hh :])]
         return [proj, proj[..., : 3 * hh], *np.split(proj, 4, axis=-1)]
 
     def _recurrent_forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -402,61 +405,71 @@ class ClassifierModel:
     # is an (H, B) @ (B, G*H) product, far below the size at which BLAS
     # spreads work over threads, so BPTT costs the same at any thread count.
     # They store the U gradients in grads and return the fused pre-activation
-    # gradient da (T, B, G*H).
+    # gradient da (T, B, G*H). They consume the forward cache: the
+    # step-independent factors k_* are computed in place, several over cache
+    # arrays no step reads again (the LSTM's da over "act"), so a training
+    # step allocates few (T, B, H) arrays. A gate a step reads (GRU z and r,
+    # LSTM f) is copied contiguous once; the others are np.split views. The
+    # loop functions below run the steps, last step first.
 
     def _gru_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> np.ndarray:
         hh = self.hidden_size
-        hs = cache["hs"][:-1]
-        z, r = _split_gates(cache["zr"], 2)
-        n = cache["n"]
-        u_zr_t = self._fused("U", ("z", "r")).T
-        u_n_t = self.params["U_n"].T
+        mul, sub = np.multiply, np.subtract
+        hs, n = cache["hs"][:-1], cache["n"]
+        z, r = (np.ascontiguousarray(gate) for gate in np.split(cache["zr"], 2, axis=-1))
         # Step-independent factors of the pre-activation gradients.
-        k_z = (hs - n) * z * (1.0 - z)  # da_z = dh * k_z
-        k_n = (1.0 - z) * (1.0 - n * n)  # da_n = dh * k_n
-        k_r = hs * r * (1.0 - r)  # da_r = (da_n @ U_n.T) * k_r
-        rh = r * hs
+        one_minus = sub(1.0, z)
+        k_z = sub(hs, n)
+        mul(k_z, z, k_z)
+        mul(k_z, one_minus, k_z)  # da_z = dh * k_z
+        k_n = mul(n, n, n)
+        sub(1.0, k_n, k_n)
+        mul(one_minus, k_n, k_n)  # da_n = dh * k_n
+        rh = mul(hs, r)
+        k_r = sub(1.0, r, one_minus)
+        mul(rh, k_r, k_r)  # da_r = (da_n @ U_n.T) * k_r
         da = np.empty(n.shape[:2] + (3 * hh,))
         d_u_zr = np.zeros((hh, 2 * hh))
         d_u_n = np.zeros((hh, hh))
-        for t in range(len(da) - 1, -1, -1):
-            d = da[t]
-            d_zr, d_n = d[:, : 2 * hh], d[:, 2 * hh :]
-            np.multiply(dh, k_z[t], out=d[:, :hh])
-            np.multiply(dh, k_n[t], out=d_n)
-            d_rh = d_n @ u_n_t
-            np.multiply(d_rh, k_r[t], out=d[:, hh : 2 * hh])
-            d_u_zr += hs[t].T @ d_zr
-            d_u_n += rh[t].T @ d_n
-            dh = dh * z[t] + d_rh * r[t] + d_zr @ u_zr_t
+        back = da[::-1]
+        _gru_back_steps(
+            dh, *np.split(back, 3, axis=-1), back[..., : 2 * hh],
+            k_z[::-1], k_n[::-1], k_r[::-1], z[::-1], r[::-1],
+            hs.transpose(0, 2, 1)[::-1], rh.transpose(0, 2, 1)[::-1],
+            self._fused("U", ("z", "r")).T, self.params["U_n"].T, d_u_zr, d_u_n,
+        )
         grads["U_z"], grads["U_r"] = np.split(d_u_zr, 2, axis=1)
         grads["U_n"] = d_u_n
         return da
 
     def _lstm_backward(self, cache: dict, dh: np.ndarray, grads: dict) -> np.ndarray:
         hh = self.hidden_size
+        mul, sub = np.multiply, np.subtract
         hs, cs, tcs = cache["hs"][:-1], cache["cs"][:-1], cache["tcs"]
-        i, f, o, g = _split_gates(cache["act"], 4)
-        u_t = self._fused("U", _FUSED_GATES["lstm"]).T
+        i, f, o, g = np.split(cache["act"], 4, axis=-1)
+        f = np.ascontiguousarray(f)  # read by every step
         # Step-independent factors of the pre-activation gradients.
-        k_c = o * (1.0 - tcs * tcs)  # dc += dh * k_c
-        k_i = g * i * (1.0 - i)  # da_i = dc * k_i
-        k_f = cs * f * (1.0 - f)  # da_f = dc * k_f
-        k_o = tcs * o * (1.0 - o)  # da_o = dh * k_o
-        k_g = i * (1.0 - g * g)  # da_g = dc * k_g
-        da = np.empty_like(cache["act"])
+        k_c = mul(tcs, tcs)
+        sub(1.0, k_c, k_c)
+        mul(o, k_c, k_c)  # dc += dh * k_c
+        one_minus = sub(1.0, i)
+        k_i = mul(g, i)
+        mul(k_i, one_minus, k_i)  # da_i = dc * k_i
+        k_f = mul(cs, f, cs)
+        mul(k_f, sub(1.0, f, one_minus), k_f)  # da_f = dc * k_f
+        k_o = mul(tcs, o, tcs)
+        mul(k_o, sub(1.0, o, one_minus), k_o)  # da_o = dh * k_o
+        k_g = mul(g, g, one_minus)
+        sub(1.0, k_g, k_g)
+        mul(i, k_g, k_g)  # da_g = dc * k_g
+        da = cache["act"]
         d_u = np.zeros((hh, 4 * hh))
-        dc = np.zeros_like(dh)
-        for t in range(len(da) - 1, -1, -1):
-            d = da[t]
-            dc += dh * k_c[t]
-            np.multiply(dc, k_i[t], out=d[:, :hh])
-            np.multiply(dc, k_f[t], out=d[:, hh : 2 * hh])
-            np.multiply(dh, k_o[t], out=d[:, 2 * hh : 3 * hh])
-            np.multiply(dc, k_g[t], out=d[:, 3 * hh :])
-            dc *= f[t]
-            d_u += hs[t].T @ d
-            dh = d @ u_t
+        back = da[::-1]
+        _lstm_back_steps(
+            dh, back, *np.split(back, 4, axis=-1),
+            k_c[::-1], k_i[::-1], k_f[::-1], k_o[::-1], k_g[::-1], f[::-1],
+            hs.transpose(0, 2, 1)[::-1], self._fused("U", _FUSED_GATES["lstm"]).T, d_u,
+        )
         for name, gu in zip(_FUSED_GATES["lstm"], np.split(d_u, 4, axis=1)):
             grads[f"U_{name}"] = gu
         return da
@@ -532,9 +545,83 @@ def _lstm_steps(
         mul(o_t, tanh(c_next, tc), h_next)
 
 
-def _split_gates(fused: np.ndarray, count: int) -> list[np.ndarray]:
-    """Contiguous copies of the gate column blocks of a fused (..., G*H) array."""
-    return [np.ascontiguousarray(block) for block in np.split(fused, count, axis=-1)]
+# The BPTT loop of each cell, in the same design. Every per-step argument is
+# a (T, B, .) array given time-reversed (da[::-1, :, :hh], k_z[::-1],
+# hs.transpose(0, 2, 1)[::-1], ...), so iterating it yields the step operands,
+# last step first, and a step slices or indexes nothing. dh (B, H) enters as
+# the gradient of the last state and is updated in place; each step writes
+# its pre-activation gradients into the da views and adds its U-gradient terms
+# to d_u* in reverse time order, the order of the recorded gradient bits
+# (TestFusedCoreParity). The GRU's products take column blocks of da, which
+# np.dot would copy on every call, so they use np.matmul, which reads them in
+# place; the LSTM's are contiguous and use np.dot. numpy itself buffers a
+# ufunc operand that is a column block (the da_* outputs), at most
+# np.getbufsize() elements per call.
+def _gru_back_steps(
+    dh: np.ndarray,
+    d_z: np.ndarray,
+    d_r: np.ndarray,
+    d_n: np.ndarray,
+    d_zr: np.ndarray,
+    k_z: np.ndarray,
+    k_n: np.ndarray,
+    k_r: np.ndarray,
+    z: np.ndarray,
+    r: np.ndarray,
+    hs_t: np.ndarray,
+    rh_t: np.ndarray,
+    u_zr_t: np.ndarray,
+    u_n_t: np.ndarray,
+    d_u_zr: np.ndarray,
+    d_u_n: np.ndarray,
+) -> None:
+    add, mul, matmul = np.add, np.multiply, np.matmul
+    d_rh, hu = np.empty_like(dh), np.empty_like(dh)  # da_n @ U_n.T, da_zr @ U_zr.T
+    du_zr, du_n = np.empty_like(d_u_zr), np.empty_like(d_u_n)
+    for dz, dr, dn, dzr, kz, kn, kr, z_t, r_t, h_t, rh in zip(
+        d_z, d_r, d_n, d_zr, k_z, k_n, k_r, z, r, hs_t, rh_t
+    ):
+        mul(dh, kz, dz)
+        mul(dh, kn, dn)
+        mul(matmul(dn, u_n_t, d_rh), kr, dr)
+        add(d_u_zr, matmul(h_t, dzr, du_zr), d_u_zr)
+        add(d_u_n, matmul(rh, dn, du_n), d_u_n)
+        mul(dh, z_t, dh)
+        add(dh, mul(d_rh, r_t, d_rh), dh)
+        add(dh, matmul(dzr, u_zr_t, hu), dh)  # dh z + d_rh r + da_zr @ U_zr.T
+
+
+def _lstm_back_steps(
+    dh: np.ndarray,
+    da: np.ndarray,
+    d_i: np.ndarray,
+    d_f: np.ndarray,
+    d_o: np.ndarray,
+    d_g: np.ndarray,
+    k_c: np.ndarray,
+    k_i: np.ndarray,
+    k_f: np.ndarray,
+    k_o: np.ndarray,
+    k_g: np.ndarray,
+    f: np.ndarray,
+    hs_t: np.ndarray,
+    u_t: np.ndarray,
+    d_u: np.ndarray,
+) -> None:
+    add, mul, dot = np.add, np.multiply, np.dot
+    dc, dhk = np.zeros_like(dh), np.empty_like(dh)  # dh * k_c
+    du = np.empty_like(d_u)
+    for d, di, df, do, dg, kc, ki, kf, ko, kg, f_t, h_t in zip(
+        da, d_i, d_f, d_o, d_g, k_c, k_i, k_f, k_o, k_g, f, hs_t
+    ):
+        add(dc, mul(dh, kc, dhk), dc)
+        mul(dc, ki, di)
+        mul(dc, kf, df)
+        mul(dh, ko, do)
+        mul(dc, kg, dg)
+        mul(dc, f_t, dc)
+        add(d_u, dot(h_t, d, du), d_u)
+        dot(d, u_t, dh)
 
 
 # ----------------------------------------------------------------------

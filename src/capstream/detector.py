@@ -69,31 +69,6 @@ class DetectorConfig:
         """History span per sensor; bounds memory yet always covers a legal frame."""
         return 2 * (self.pre_pad + self.post_pad + self.safety_period + self.update_period)
 
-    @classmethod
-    def from_rate(
-        cls,
-        sampling_rate: float,
-        phi: float = 20.0,
-        init_seconds: float = 10.0,
-        warmup_seconds: float = 8.0,
-        safety_seconds: float = 3.0,
-        update_seconds: float = 6.0,
-        pre_pad: int = 70,
-        post_pad: int = 70,
-        **kwargs,
-    ) -> "DetectorConfig":
-        """Derive the sample-count periods from a sampling rate."""
-        return cls(
-            phi=phi,
-            update_period=int(round(update_seconds * sampling_rate)),
-            pre_pad=pre_pad,
-            post_pad=post_pad,
-            safety_period=int(round(safety_seconds * sampling_rate)),
-            init_period=int(round(init_seconds * sampling_rate)),
-            warmup_period=int(round(warmup_seconds * sampling_rate)),
-            **kwargs,
-        )
-
 
 @dataclass
 class GestureFrame:

@@ -27,31 +27,53 @@ MANIFEST_NAME = "manifest.txt"
 _DEFAULT_RATE = 53.0
 
 
+def _undecodable(path: str | Path, exc: UnicodeDecodeError) -> InvalidParameterError:
+    """The error for a text file with bytes that do not decode, naming path:line.
+
+    The text reader decodes a block at a time, so exc does not tell the line;
+    the first bad byte of the file's raw bytes does.
+    """
+    try:
+        data = Path(path).read_bytes()
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as first:
+        line = data.count(b"\n", 0, first.start) + 1
+        return InvalidParameterError(
+            f"{path}:{line}: byte {data[first.start]:#04x} is not {exc.encoding} text"
+        )
+    except OSError:
+        pass
+    return InvalidParameterError(f"{path}: not {exc.encoding} text: {exc.reason}")
+
+
 def _read_rows(
     path: str | Path, header: list[str], cast: Callable[[str], object], first: int = 0
 ) -> Iterator[list]:
     """Yield cells first..len(header)-1 of each non-empty row, each passed through cast.
 
-    A wrong header, a short row or a cell that cast rejects raises
-    InvalidParameterError naming path:line.
+    A wrong header, a short row, a cell that cast rejects or bytes that are
+    not text raise InvalidParameterError naming path:line.
     """
     width = len(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise InvalidParameterError(f"{path}: expected header {','.join(header)}")
-        for line in reader:
-            if not line:
-                continue
-            if len(line) < width:
-                raise InvalidParameterError(
-                    f"{path}:{reader.line_num}: expected {width} cells, got {len(line)}"
-                )
-            try:
-                row = [cast(v) for v in line[first:width]]
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}:{reader.line_num}: {exc}") from None
-            yield row
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise InvalidParameterError(f"{path}: expected header {','.join(header)}")
+            for line in reader:
+                if not line:
+                    continue
+                if len(line) < width:
+                    raise InvalidParameterError(
+                        f"{path}:{reader.line_num}: expected {width} cells, got {len(line)}"
+                    )
+                try:
+                    row = [cast(v) for v in line[first:width]]
+                except ValueError as exc:
+                    raise InvalidParameterError(f"{path}:{reader.line_num}: {exc}") from None
+                yield row
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def _manifest_rate(directory: Path) -> float:
@@ -228,19 +250,24 @@ def load_recording(path: str | Path, sampling_rate: float | None = None) -> RawS
     path = Path(path)
     if sampling_rate is None:
         sampling_rate = _manifest_rate(path.parent)
-    with open(path, newline="") as fh:
-        if next(csv.reader([fh.readline()]), None) != RECORDING_HEADER:
-            raise InvalidParameterError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
-        if not _at_first_row(fh):
-            raise InvalidParameterError(f"{path}: recording holds no samples")
-        try:
-            values = np.loadtxt(
-                fh, delimiter=",", usecols=(1, 2, 3, 4), comments=None, quotechar='"', ndmin=2
-            )
-        except ValueError as exc:
-            error = exc
-        else:
-            return RawStream(sampling_rate=sampling_rate, values=values.T)
+    try:
+        with open(path, newline="") as fh:
+            if next(csv.reader([fh.readline()]), None) != RECORDING_HEADER:
+                raise InvalidParameterError(
+                    f"{path}: expected header {','.join(RECORDING_HEADER)}"
+                )
+            if not _at_first_row(fh):
+                raise InvalidParameterError(f"{path}: recording holds no samples")
+            try:
+                values = np.loadtxt(
+                    fh, delimiter=",", usecols=(1, 2, 3, 4), comments=None, quotechar='"', ndmin=2
+                )
+            except ValueError as exc:  # UnicodeDecodeError included
+                error = exc
+            else:
+                return RawStream(sampling_rate=sampling_rate, values=values.T)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     for _ in _read_rows(path, RECORDING_HEADER, float, first=1):
         pass
     # A cell that Python's float accepts but the vectorized parser does not
@@ -271,8 +298,12 @@ def save_manifest(path: str | Path, entries: dict) -> None:
 
 
 def load_manifest(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue

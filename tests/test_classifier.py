@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capstream import classifier
 from capstream.classifier import (
     DEFAULT_FRAME_LENGTH,
     ClassifierModel,
@@ -234,6 +236,67 @@ class TestFusedCoreParity:
         train_loss, val_loss = self.ALLOCATING_STEP_LOSSES[cell]
         np.testing.assert_array_equal(history.train_loss, train_loss)
         np.testing.assert_array_equal(history.val_loss, val_loss)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_backward_steps_allocate_nothing(self, cell, monkeypatch):
+        # The loop function may hold its scratch, 2 (B, H) and G (H, H)
+        # arrays, the views of one step, and the buffer numpy fills for a
+        # strided ufunc operand (at most np.getbufsize() elements). A step
+        # result or copy it allocated would add a whole (B, H) array, larger
+        # than that buffer at this batch size.
+        batch, hh = 1024, 20
+        assert batch * hh > 2 * np.getbufsize()
+        name = f"_{cell}_back_steps"
+        steps = getattr(classifier, name)
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                steps(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(classifier, name, traced)
+        model = ClassifierModel.initialize(cell, seed=4, hidden_size=hh)
+        rng = np.random.default_rng(9)
+        model.loss_and_gradients(
+            rng.normal(size=(batch, 16, 4)), one_hot(rng.integers(1, 11, size=batch), 10)
+        )
+        gates = 3 if cell == "gru" else 4
+        scratch = 8 * (2 * batch * hh + gates * hh * hh)
+        allowance = 8 * np.getbufsize() + 16 * 1024
+        assert len(peaks) == 1 and peaks[0] < scratch + allowance
+
+    # SHA-256 of the loss and then every gradient, in param_order, recorded
+    # from the backward passes that allocated their step results.
+    GRADIENT_SHA256 = {
+        ("gru", 128, 1.0): "983ec2ba6aa0ffaf077618eecab26bbb06b47d17aa9bbab4cf3b3d15ae5d7093",
+        ("gru", 128, 3.0): "9548e83671123a7adfa1fd2ee62372f34779768110a10a10abb098a448f1c419",
+        ("gru", 256, 1.0): "9055d1338d6b54b5aa39c0e19d5f91ee65a27ca5f0ce79997154411fae29996f",
+        ("gru", 256, 3.0): "6a2ef38252b77d9b0557cb81a46aa9c64455fae3fb6858c3935221124965cd7d",
+        ("lstm", 128, 1.0): "ab2a1807f8f110989cc6d28e47a355b18b7797a7e45036548bb21f95a809306c",
+        ("lstm", 128, 3.0): "b27ce2fc3f5763fd197d179b943d855f33cba9cd47caf23c0a16cecc3001dbfa",
+        ("lstm", 256, 1.0): "0ce27af34fb4f4808449d72a09bca4bc69266adcc19232d528b017a7d58301da",
+        ("lstm", 256, 3.0): "83ff64c6b39de032262dd216d43a1e1c05c334a1ff18b1a8a50d2f8842275e7f",
+    }
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_gradients_bit_equal_recorded(self, cell, steps, scale):
+        model = ClassifierModel.initialize(cell, seed=4)
+        for name in model.params:
+            model.params[name] *= scale
+        rng = np.random.default_rng(steps)
+        x = rng.normal(size=(10, steps, 4))
+        y = one_hot(rng.integers(1, 11, size=10), 10)
+        loss, grads = model.loss_and_gradients(x, y)
+        digest = hashlib.sha256(np.float64(loss).tobytes())
+        for name in model.param_order():
+            digest.update(grads[name].tobytes())
+        assert digest.hexdigest() == self.GRADIENT_SHA256[(cell, steps, scale)]
 
 
 class TestLoss:

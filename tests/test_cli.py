@@ -278,6 +278,70 @@ class TestBoundaryErrors:
         assert "Traceback" not in err
 
 
+def _byte_in_recording_cell(d):
+    # Far past the first block the text reader decodes.
+    rows = (d / "rec.csv").read_bytes().split(b"\r\n")
+    rows[300] = rows[300].replace(b",", b",\xff", 1)
+    (d / "bad.csv").write_bytes(b"\r\n".join(rows))
+    return ["detect", str(d / "bad.csv"), "--out-dir", str(d / "frames")], "bad.csv:301"
+
+
+def _byte_in_short_recording(d):
+    # Inside the first block, read with the header.
+    (d / "bad.csv").write_bytes(b"index,s1,s2,s3,s4\r\n0,1,2,3,4\r\n1,1,\xff,3,4\r\n")
+    return ["detect", str(d / "bad.csv"), "--out-dir", str(d / "frames")], "bad.csv:3"
+
+
+def _byte_in_labels(d):
+    (d / "frames_index.csv").write_text("k,start,end\n1,10,20\n")
+    (d / "bad.labels.csv").write_bytes(b"class_id,true_start,true_end\n1,12,\xff\n")
+    return (
+        ["eval-detect", str(d / "frames_index.csv"), str(d / "bad.labels.csv")],
+        "bad.labels.csv:2",
+    )
+
+
+def _byte_in_frames_index(d):
+    (d / "frames_index.csv").write_bytes(b"k,start,end\n1,10,20\n\xff,30,40\n")
+    return (
+        ["eval-detect", str(d / "frames_index.csv"), str(d / "rec.labels.csv")],
+        "frames_index.csv:3",
+    )
+
+
+def _byte_in_config(d):
+    (d / "bad.cfg").write_bytes(b"detector.phi=55\n# \xff\n")
+    return (
+        ["detect", str(d / "rec.csv"), "--config", str(d / "bad.cfg"),
+         "--out-dir", str(d / "frames")],
+        "bad.cfg:2",
+    )
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "make_argv",
+        [
+            _byte_in_recording_cell,
+            _byte_in_short_recording,
+            _byte_in_labels,
+            _byte_in_frames_index,
+            _byte_in_config,
+        ],
+    )
+    def test_non_utf8_byte_is_one_line_config_error(self, tmp_path, capsys, params, make_argv):
+        rec = generate_gesture(5, 1, params, sampling_rate=53.0)
+        save_recording(tmp_path / "rec.csv", rec.stream)
+        save_labels(tmp_path / "rec.labels.csv", rec.events)
+        argv, where = make_argv(tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{where}: byte 0xff" in err
+        assert not (tmp_path / "frames").exists()
+
+
 class TestProcessAndFft:
     def test_process_weighted_diff_output(self, session_dir, tmp_path):
         out_csv = tmp_path / "proc.csv"

@@ -340,13 +340,6 @@ class TestSingleRule:
 
 
 class TestDetectorConfig:
-    def test_from_rate_reference_values(self):
-        cfg = DetectorConfig.from_rate(53.0)
-        assert cfg.update_period == 318
-        assert cfg.init_period == 530
-        assert cfg.warmup_period == 424
-        assert cfg.safety_period == 159
-
     def test_default_capacity(self):
         cfg = DetectorConfig()
         assert cfg.capacity == 2 * (70 + 70 + 159 + 318)
