@@ -3,8 +3,10 @@
 
 Runs capstream.cli.main through simulate (dataset, session and idle modes),
 process (to a file and to stdout), fft, detect, eval-detect, a 2-epoch
-train at 256 steps per frame, eval and an unpaced run without a socket, all
-writing under OUT_DIR.
+train at 256 steps per frame, eval and an unpaced run without a socket, and
+a second train, eval and run chain whose model is trained at post_pad 35,
+so that eval and run must cut frames with the model's geometry; all write
+under OUT_DIR.
 The standard output of each command is kept as <step>.stdout, except for
 run, whose summary line reports a wall-clock latency. Prints one
 "sha256  name" line per file, sorted by name, so that two source trees can
@@ -42,6 +44,10 @@ STEPS = (
     ("train", "train --data data --epochs 2 --seed 1 --frame-length 256 --out gru.bin", True),
     ("eval", "eval --model gru.bin --data data --csv-out eval.csv", True),
     ("run", "run --source file:sess/session.csv --model gru.bin --no-socket --unpaced --log run.ndjson", False),
+    ("train-post-pad-35", "train --data data --epochs 2 --seed 1 --post-pad 35 --out gru35.bin", True),
+    ("eval-post-pad-35", "eval --model gru35.bin --data data --csv-out eval35.csv", True),
+    ("run-post-pad-35",
+     "run --source file:sess/session.csv --model gru35.bin --no-socket --unpaced --log run35.ndjson", False),
 )
 
 

@@ -2,6 +2,7 @@
 
 from .classifier import (
     ClassifierModel,
+    FrameGeometry,
     Prediction,
     TrainConfig,
     evaluate,

@@ -12,15 +12,16 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .detector import GestureFrame
-from .errors import InvalidParameterError, ModelError, TrainingDivergedError
+from .detector import DetectorConfig, GestureFrame
+from .dsp import DspConfig
+from .errors import ConfigError, InvalidParameterError, ModelError, TrainingDivergedError
 
 CELL_TYPES = ("gru", "lstm")
 # Steps per frame tensor. Detector frames are 147-193 samples long at the
@@ -39,9 +40,62 @@ FrameTensor = np.ndarray
 _STEP_CHUNK = 32
 
 _MAGIC = b"CAPM"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # CAPM v1 files carry no frame length; every one was written at 256 steps.
 _V1_FRAME_LENGTH = 256
+# The CAPM v3 geometry block: pre_pad, post_pad, smooth_window, sensitivity.
+_GEOMETRY_FORMAT = "<III4d"
+
+
+@dataclass(frozen=True)
+class FrameGeometry:
+    """How the frames a model was trained on were cut.
+
+    These are the settings that change what a frame tensor holds: the
+    detector's pads and the conditioner's sensitivity and smoothing window.
+    The detector's other settings decide which spans become frames, and
+    init_period sets offsets that frame_to_tensor's per-channel
+    standardization cancels up to rounding, so none of them is recorded.
+    """
+
+    pre_pad: int = DetectorConfig.pre_pad
+    post_pad: int = DetectorConfig.post_pad
+    sensitivity: tuple[float, float, float, float] = DspConfig.sensitivity
+    smooth_window: int = DspConfig.smooth_window
+
+    def __post_init__(self) -> None:
+        self.configs()  # DspConfig and DetectorConfig check the values
+
+    @classmethod
+    def of(cls, dsp_cfg: DspConfig, det_cfg: DetectorConfig) -> "FrameGeometry":
+        return cls(
+            det_cfg.pre_pad,
+            det_cfg.post_pad,
+            tuple(float(s) for s in dsp_cfg.sensitivity),
+            dsp_cfg.smooth_window,
+        )
+
+    def configs(self) -> tuple[DspConfig, DetectorConfig]:
+        """Conditioner and detector settings that cut frames this way; the
+        detector's other settings keep their defaults."""
+        return (
+            DspConfig(sensitivity=self.sensitivity, smooth_window=self.smooth_window),
+            DetectorConfig(pre_pad=self.pre_pad, post_pad=self.post_pad),
+        )
+
+    def check(self, dsp_cfg: DspConfig, det_cfg: DetectorConfig) -> None:
+        """Raise ConfigError naming each setting in which the configs cut
+        frames otherwise than this geometry."""
+        other = FrameGeometry.of(dsp_cfg, det_cfg)
+        diffs = [
+            f"{f.name} {getattr(other, f.name)} (model: {getattr(self, f.name)})"
+            for f in fields(self)
+            if getattr(other, f.name) != getattr(self, f.name)
+        ]
+        if diffs:
+            raise ConfigError(
+                "the config cuts frames otherwise than the model was trained on: " + ", ".join(diffs)
+            )
 
 
 @dataclass
@@ -102,7 +156,8 @@ class ClassifierModel:
     """Recurrent cell + dense stack with explicit parameter tensors.
 
     frame_length is the number of steps of the frame tensors the model was
-    trained on; predict accepts only tensors of that length.
+    trained on; predict accepts only tensors of that length. geometry says
+    how those frames were cut.
     """
 
     def __init__(
@@ -114,6 +169,7 @@ class ClassifierModel:
         dense_sizes: tuple[int, ...],
         n_classes: int,
         frame_length: int = DEFAULT_FRAME_LENGTH,
+        geometry: FrameGeometry = FrameGeometry(),
     ) -> None:
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
@@ -126,6 +182,7 @@ class ClassifierModel:
         self.dense_sizes = tuple(dense_sizes)
         self.n_classes = n_classes
         self.frame_length = frame_length
+        self.geometry = geometry
         self._check_dims()
 
     # ------------------------------------------------------------------
@@ -141,6 +198,7 @@ class ClassifierModel:
         dense_sizes: tuple[int, ...] = (32, 64, 32),
         n_classes: int = 10,
         frame_length: int = DEFAULT_FRAME_LENGTH,
+        geometry: FrameGeometry = FrameGeometry(),
     ) -> "ClassifierModel":
         """Seeded parameter initialization, tuned so plain gradient descent at
         small rates converges.
@@ -148,8 +206,8 @@ class ClassifierModel:
         Input weights are uniform, the recurrence is orthogonal, memory-gate
         biases spread log-uniformly over time constants up to _GATE_HORIZON
         steps, and the relu dense stack is scaled above variance-preservation
-        so the error signal survives the depth. frame_length sets no
-        parameter; the model records it.
+        so the error signal survives the depth. frame_length and geometry
+        set no parameter; the model records them.
         """
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
@@ -181,7 +239,7 @@ class ClassifierModel:
         else:
             params["b_f"] = gate_bias
             params["b_i"] = -gate_bias.copy()
-        return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes, frame_length)
+        return cls(cell_type, params, input_dim, hidden_size, dense_sizes, n_classes, frame_length, geometry)
 
     def _shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return _param_shapes(
@@ -210,6 +268,7 @@ class ClassifierModel:
             self.dense_sizes,
             self.n_classes,
             self.frame_length,
+            self.geometry,
         )
 
     # ------------------------------------------------------------------
@@ -728,13 +787,15 @@ def train(
     hidden_size: int = 20,
     dense_sizes: tuple[int, ...] = (32, 64, 32),
     n_classes: int = 10,
+    geometry: FrameGeometry = FrameGeometry(),
 ) -> tuple[ClassifierModel, TrainHistory]:
     """Train on (N, T, 4) tensors with class-id labels; fully seeded.
 
     Uses a stratified train/validation split and records per-epoch loss and
     accuracy on both sides, and each epoch's wall time. The model's
-    frame_length is T. A split that holds out no frame, or keeps none for
-    training, raises InvalidParameterError.
+    frame_length is T, and its geometry is the one the tensors were cut
+    with. A split that holds out no frame, or keeps none for training,
+    raises InvalidParameterError.
     """
     cfg = cfg or TrainConfig()
     tensors = np.asarray(tensors, dtype=np.float64)
@@ -753,6 +814,7 @@ def train(
         dense_sizes=dense_sizes,
         n_classes=n_classes,
         frame_length=tensors.shape[1],
+        geometry=geometry,
     )
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
@@ -845,10 +907,11 @@ def evaluate(model: ClassifierModel, tensors: np.ndarray, labels: np.ndarray) ->
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
-    """CAPM v2: magic, dims header, then row-major float64 blocks, plus a JSON sidecar.
+    """CAPM v3: magic, dims header, then row-major float64 blocks, plus a JSON sidecar.
 
-    Header, all <u4 after the magic: version, cell code, input_dim, hidden,
-    n_classes, frame_length, dense count, dense sizes.
+    Header after the magic: <u4 version, cell code, input_dim, hidden,
+    n_classes, frame_length, pre_pad, post_pad, smooth_window; four <f8
+    sensitivities; <u4 dense count, dense sizes.
     """
     path = Path(path)
     cell_code = CELL_TYPES.index(model.cell_type)
@@ -862,6 +925,8 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         model.n_classes,
         model.frame_length,
     )
+    geo = model.geometry
+    header += struct.pack(_GEOMETRY_FORMAT, geo.pre_pad, geo.post_pad, geo.smooth_window, *geo.sensitivity)
     header += struct.pack("<I", len(model.dense_sizes))
     header += struct.pack(f"<{len(model.dense_sizes)}I", *model.dense_sizes)
     blob = bytearray(header)
@@ -876,15 +941,17 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         "dense_sizes": list(model.dense_sizes),
         "n_classes": model.n_classes,
         "frame_length": model.frame_length,
+        **asdict(geo),
         "parameters": model.param_order(),
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    """Read a CAPM v2 file, or a v1 file as frame_length 256 (v1 has no
-    frame_length field); raises ModelError on any malformed or cut-off file
-    or any other version."""
+    """Read a CAPM v3 file, a v2 file with the default geometry, or a v1
+    file with the default geometry and frame_length 256 (v1 has no
+    frame_length field, v2 no geometry); raises ModelError on any malformed
+    or cut-off file or any other version."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ModelError(f"{path}: not a capstream model file")
@@ -896,14 +963,22 @@ def load_model(path: str | Path) -> ClassifierModel:
             raise ModelError(f"{path}: header cut off at byte {len(data)}") from None
 
     (version,) = unpack("<I", 4)
-    if version not in (1, _FORMAT_VERSION):
+    if version not in (1, 2, _FORMAT_VERSION):
         raise ModelError(f"{path}: unsupported format version {version}")
     cell_code, input_dim, hidden, n_classes = unpack("<IIII", 8)
     offset = 24
     frame_length = _V1_FRAME_LENGTH
-    if version == _FORMAT_VERSION:
+    geometry = FrameGeometry()
+    if version >= 2:
         (frame_length,) = unpack("<I", offset)
         offset += 4
+    if version >= 3:
+        pre_pad, post_pad, smooth_window, *sensitivity = unpack(_GEOMETRY_FORMAT, offset)
+        offset += struct.calcsize(_GEOMETRY_FORMAT)
+        try:
+            geometry = FrameGeometry(pre_pad, post_pad, tuple(sensitivity), smooth_window)
+        except InvalidParameterError as exc:
+            raise ModelError(f"{path}: frame geometry: {exc}") from None
     if cell_code >= len(CELL_TYPES):
         raise ModelError(f"{path}: unknown cell code {cell_code}")
     (n_dense,) = unpack("<I", offset)
@@ -922,5 +997,5 @@ def load_model(path: str | Path) -> ClassifierModel:
         offset += 8 * count
         params[name] = block.reshape(shape).astype(np.float64)
     return ClassifierModel(
-        cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes, frame_length
+        cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes, frame_length, geometry
     )

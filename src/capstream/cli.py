@@ -4,16 +4,24 @@ Each subcommand registers only the options its handler reads. The detector
 and dsp flags fall back to ``--config`` file values (key=value lines with
 module-prefixed keys, e.g. ``detector.phi=20``) and then to the built-in
 defaults, so experiment configs are diff-friendly and flags win.
+
+The model file records the frame geometry it was trained on: the pads and
+the dsp settings. ``train`` takes the flags that set it, ``eval`` cuts
+frames with the model's geometry and takes no tuning flag, and ``run``
+takes only the detector flags that do not change a frame; a geometry key
+in its ``--config`` that disagrees with the model exits 2.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import logging
+import math
 import os
 import socket as socket_module
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from . import classifier, dataset, dsp, metrics, runtime, simulate, storage
@@ -46,8 +54,18 @@ _DSP_KEYS = (
     ("smooth_window", int, _DSP_DEFAULTS.smooth_window, "moving-average window [samples]"),
 )
 _CONFIG_KEYS = {f"detector.{k[0]}" for k in _DETECTOR_KEYS} | {f"dsp.{k[0]}" for k in _DSP_KEYS}
-_DSP_TABLE = ("dsp", _DSP_KEYS)
-_DETECT_TABLES = (("detector", _DETECTOR_KEYS), _DSP_TABLE)
+# The detector keys that a model's FrameGeometry records; with the dsp keys
+# they shape a frame tensor. The others decide which spans become frames.
+_PAD_KEYS = tuple(k for k in _DETECTOR_KEYS if k[0] in ("pre_pad", "post_pad"))
+_SPAN_KEYS = tuple(k for k in _DETECTOR_KEYS if k not in _PAD_KEYS)
+
+# The tuning flags of each subcommand that takes any, as (table, keys) pairs.
+_TUNING_FLAGS = {
+    "process": (("dsp", _DSP_KEYS),),
+    "detect": (("detector", _DETECTOR_KEYS), ("dsp", _DSP_KEYS)),
+    "train": (("detector", _PAD_KEYS), ("dsp", _DSP_KEYS)),
+    "run": (("detector", _SPAN_KEYS),),
+}
 
 
 def _add_tuning_flags(parser: argparse.ArgumentParser, tables) -> None:
@@ -64,7 +82,8 @@ def _add_tuning_flags(parser: argparse.ArgumentParser, tables) -> None:
             )
 
 
-def _resolve(explicit, file_cfg: dict[str, str], key: str, typ, default):
+def _resolve(explicit, file_cfg: dict[str, str], key: str, typ):
+    """The flag's value, else the config file's, else None."""
     if explicit is not None:
         return explicit
     if key in file_cfg:
@@ -72,7 +91,7 @@ def _resolve(explicit, file_cfg: dict[str, str], key: str, typ, default):
             return typ(file_cfg[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key}: {exc}") from None
-    return default
+    return None
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -89,20 +108,24 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return file_cfg
 
 
-def _detector_config(args, file_cfg: dict[str, str]) -> DetectorConfig:
-    return DetectorConfig(**{
-        name: _resolve(getattr(args, f"detector_{name}", None), file_cfg, f"detector.{name}", typ, default)
-        for name, typ, default, _ in _DETECTOR_KEYS
-    })
+def _tuned(base, table: str, keys, args, file_cfg: dict[str, str]):
+    """base with each key set by its flag or config-file value, if either is given."""
+    changes = {}
+    for name, typ, _, _ in keys:
+        value = _resolve(getattr(args, f"{table}_{name}", None), file_cfg, f"{table}.{name}", typ)
+        if value is not None:
+            changes[name] = value
+    if "sensitivity" in changes:
+        changes["sensitivity"] = (changes["sensitivity"],) * 4
+    return replace(base, **changes)
 
 
-def _dsp_config(args, file_cfg: dict[str, str]) -> dsp.DspConfig:
-    kwargs = {
-        name: _resolve(getattr(args, f"dsp_{name}", None), file_cfg, f"dsp.{name}", typ, default)
-        for name, typ, default, _ in _DSP_KEYS
-    }
-    kwargs["sensitivity"] = (kwargs["sensitivity"],) * 4
-    return dsp.DspConfig(**kwargs)
+def _detector_config(args, file_cfg: dict[str, str], base: DetectorConfig = _DETECTOR_DEFAULTS) -> DetectorConfig:
+    return _tuned(base, "detector", _DETECTOR_KEYS, args, file_cfg)
+
+
+def _dsp_config(args, file_cfg: dict[str, str], base: dsp.DspConfig = _DSP_DEFAULTS) -> dsp.DspConfig:
+    return _tuned(base, "dsp", _DSP_KEYS, args, file_cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="condition a recording and write the processed CSV")
     p.add_argument("recording", help="input recording CSV [path]")
     p.add_argument("--out", default=None, help="output CSV [path] (default: stdout)")
-    _add_tuning_flags(p, [_DSP_TABLE])
+    _add_tuning_flags(p, _TUNING_FLAGS["process"])
 
     p = sub.add_parser("fft", help="magnitude spectrum and band statistics of one channel")
     p.add_argument("recording", help="input recording CSV [path]")
@@ -138,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the adaptive-threshold detector over a recording")
     p.add_argument("recording", help="input recording CSV [path]")
     p.add_argument("--out-dir", default=None, help="directory for frame CSV blocks and index [path] (default: <recording>.frames)")
-    _add_tuning_flags(p, _DETECT_TABLES)
+    _add_tuning_flags(p, _TUNING_FLAGS["detect"])
 
     p = sub.add_parser("train", help="train the gesture classifier on a dataset directory")
     p.add_argument("--seed", type=int, default=0, help="RNG seed [integer] (default: 0)")
@@ -152,13 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-length", type=int, default=classifier.DEFAULT_FRAME_LENGTH,
                    help="resampled frame length, recorded in the model file [samples] "
                         f"(default: {classifier.DEFAULT_FRAME_LENGTH})")
-    _add_tuning_flags(p, _DETECT_TABLES)
+    _add_tuning_flags(p, _TUNING_FLAGS["train"])
 
-    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory at the model's frame length")
+    p = sub.add_parser("eval", help="evaluate a trained model on a dataset directory, cutting frames as the model records")
     p.add_argument("--model", required=True, help="model file from train [path] (required)")
     p.add_argument("--data", required=True, help="dataset directory [path] (required)")
     p.add_argument("--csv-out", default=None, help="metrics CSV [path] (default: stdout table only)")
-    _add_tuning_flags(p, _DETECT_TABLES)
 
     p = sub.add_parser("eval-detect", help="score emitted frames against ground-truth labels")
     p.add_argument("frames", help="frames_index.csv from detect [path]")
@@ -175,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unpaced", action="store_true", help="replay at full speed instead of the sampling rate (default: off)")
     p.add_argument("--rate", type=float, default=None, help="sampling rate override [Hz] (default: manifest or 53.0)")
     p.add_argument("--log", default=None, help="NDJSON message log [path] (default: none)")
-    _add_tuning_flags(p, _DETECT_TABLES)
+    _add_tuning_flags(p, _TUNING_FLAGS["run"])
 
     p = sub.add_parser("consume", help="listen for command messages and print them")
     p.add_argument("--listen", default="127.0.0.1:7171", help="listen endpoint [host:port] (default: 127.0.0.1:7171)")
@@ -188,6 +210,8 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise ConfigError(f"endpoint must look like host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ConfigError(f"endpoint port must be 0..65535, got {text!r}")
     return host, int(port)
 
 
@@ -212,7 +236,9 @@ def _cmd_simulate(args, file_cfg) -> int:
         storage.save_manifest(out / storage.MANIFEST_NAME, manifest | {"events": len(rec.events)})
         print(f"wrote session with {len(rec.events)} events to {rec_path}")
     else:
-        length = int(round(args.idle_seconds * args.rate))
+        if not 0 < args.idle_seconds < math.inf:
+            raise ConfigError(f"--idle-seconds must be finite and > 0, got {args.idle_seconds}")
+        length = int(round(args.idle_seconds * validate_sampling_rate(args.rate)))
         stream = simulate.generate_idle(args.seed, length, params, args.rate)
         out.mkdir(parents=True, exist_ok=True)
         rec_path = out / "idle.csv"
@@ -297,7 +323,8 @@ def _cmd_train(args, file_cfg) -> int:
         seed=args.seed,
     )
     model, history = classifier.train(
-        tensors, labels, cfg, cell_type=args.cell, hidden_size=args.hidden
+        tensors, labels, cfg, cell_type=args.cell, hidden_size=args.hidden,
+        geometry=classifier.FrameGeometry.of(dsp_cfg, det_cfg),
     )
     classifier.save_model(model, args.out)
     print(f"trained {args.cell} on {len(labels)} frames: final val_acc={history.val_acc[-1]:.4f} -> {args.out}")
@@ -307,8 +334,7 @@ def _cmd_train(args, file_cfg) -> int:
 def _cmd_eval(args, file_cfg) -> int:
     model = classifier.load_model(args.model)
     recs = storage.load_dataset(args.data)
-    det_cfg = _detector_config(args, file_cfg)
-    dsp_cfg = _dsp_config(args, file_cfg)
+    dsp_cfg, det_cfg = model.geometry.configs()
     tensors, labels = dataset.dataset_tensors(recs, dsp_cfg, det_cfg, length=model.frame_length)
     report = classifier.evaluate(model, tensors, labels)
     print(f"accuracy: {report.accuracy:.4f}")
@@ -352,6 +378,7 @@ def _cmd_eval_detect(args, file_cfg) -> int:
 
 def _cmd_run(args, file_cfg) -> int:
     pacing = "unpaced" if args.unpaced else "realtime"
+    socket_addr = None if args.no_socket else _parse_endpoint(args.socket)
     if args.source.startswith("live:"):
         host, port = _parse_endpoint(args.source[5:])
         # Checked before connecting: a bad rate exits 2 without opening a connection.
@@ -362,10 +389,13 @@ def _cmd_run(args, file_cfg) -> int:
         path = args.source.removeprefix("file:")
         source = runtime.FileReplaySource(path, sampling_rate=args.rate, pacing=pacing)
     model = classifier.load_model(args.model)
+    # Frames are cut with the model's geometry; a --config geometry key that
+    # disagrees with it makes run_pipeline raise.
+    dsp_cfg, det_cfg = model.geometry.configs()
     cfg = runtime.PipelineConfig(
-        dsp=_dsp_config(args, file_cfg),
-        detector=_detector_config(args, file_cfg),
-        socket_addr=None if args.no_socket else _parse_endpoint(args.socket),
+        dsp=_dsp_config(args, file_cfg, dsp_cfg),
+        detector=_detector_config(args, file_cfg, det_cfg),
+        socket_addr=socket_addr,
         log_path=args.log,
     )
     result = runtime.run_pipeline(source, cfg, model)

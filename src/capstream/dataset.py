@@ -3,7 +3,9 @@
 Training frames are cut from the conditioned stream around the ground-truth
 event spans with the same pre/post padding and the same offsets the detector
 applies, so frames seen in training match what the detector emits at
-inference time.
+inference time. A model records the pads and conditioning its tensors were
+cut with (classifier.FrameGeometry), and geometry.configs() gives the
+settings that cut frames the same way again.
 """
 from __future__ import annotations
 

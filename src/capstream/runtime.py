@@ -245,13 +245,18 @@ def run_pipeline(
     detector's next_emit_index and fed as one block, so no frame is held past
     the row that closes it; each frame the detector returns is classified and
     its message emitted before the next row is read. Each frame is resampled
-    to the model's frame_length. Returns once the source ends; an error in
-    any stage propagates to the caller.
+    to the model's frame_length. A cfg that cuts frames otherwise than the
+    model's geometry raises ConfigError before anything runs. Returns once
+    the source ends; an error in any stage propagates to the caller.
     """
     rate = source.sampling_rate
     # Wrappers that expose only predict (benchmark and test fakes) get the
-    # default; one wrapping a model of another length then fails in predict.
+    # default length and no geometry check; one wrapping a model of another
+    # length then fails in predict.
     length = getattr(model, "frame_length", DEFAULT_FRAME_LENGTH)
+    geometry = getattr(model, "geometry", None)
+    if geometry is not None:
+        geometry.check(cfg.dsp, cfg.detector)
     t_start = time.monotonic()
     samples = 0
     max_latency = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .signals import NUM_SENSORS, GestureEvent, LabeledRecording, RawStream
+from .signals import NUM_SENSORS, GestureEvent, LabeledRecording, RawStream, validate_sampling_rate
 
 DEFAULT_SAMPLING_RATE = 76.5  # Hz; 53 Hz is equally supported
 
@@ -282,6 +282,7 @@ def generate_gesture(
         raise InvalidParameterError(f"class_id must be in [1, 10], got {class_id}")
     if trajectory is not None and trajectory.class_id != class_id:
         raise InvalidParameterError("trajectory class does not match class_id")
+    validate_sampling_rate(sampling_rate)
     return _generate_gesture_from_seq(
         np.random.SeedSequence(seed),
         class_id,
@@ -301,6 +302,7 @@ def generate_dataset(
     classes: tuple[int, ...] = tuple(range(1, 11)),
 ) -> list[LabeledRecording]:
     """Balanced single-gesture recordings, n_per_class per class, class-major order."""
+    validate_sampling_rate(sampling_rate)
     if n_per_class <= 0:
         raise InvalidParameterError(f"n_per_class must be > 0, got {n_per_class}")
     if not classes:
@@ -362,6 +364,7 @@ def generate_session(
     Gestures are separated by idle gaps drawn from gap_seconds, long enough
     for the detector to close and emit each frame before the next event.
     """
+    validate_sampling_rate(sampling_rate)
     if n_per_class <= 0:
         raise InvalidParameterError(f"n_per_class must be > 0, got {n_per_class}")
     if not classes:

@@ -14,6 +14,7 @@ from capstream import classifier
 from capstream.classifier import (
     DEFAULT_FRAME_LENGTH,
     ClassifierModel,
+    FrameGeometry,
     TrainConfig,
     _softmax,
     backward_and_update,
@@ -25,8 +26,9 @@ from capstream.classifier import (
     save_model,
     train,
 )
-from capstream.detector import GestureFrame
-from capstream.errors import InvalidParameterError, ModelError, TrainingDivergedError
+from capstream.detector import DetectorConfig, GestureFrame
+from capstream.dsp import DspConfig
+from capstream.errors import ConfigError, InvalidParameterError, ModelError, TrainingDivergedError
 
 
 def _toy(cell="gru", seed=5, hidden=3, dense=(4,), classes=2):
@@ -464,6 +466,15 @@ class TestTrain:
         model, _ = train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,), n_classes=3)
         assert model.frame_length == 24
         assert model.copy().frame_length == 24
+        assert model.geometry == FrameGeometry()
+
+    def test_model_records_the_geometry_it_is_given(self):
+        tensors, labels = _toy_dataset(t=24)
+        geometry = FrameGeometry(pre_pad=40, post_pad=35, sensitivity=(0.5, 0.6, 0.7, 0.8), smooth_window=3)
+        model, _ = train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,),
+                         n_classes=3, geometry=geometry)
+        assert model.geometry == geometry
+        assert model.copy().geometry == geometry
 
     def test_epoch_seconds_per_epoch(self):
         tensors, labels = _toy_dataset()
@@ -549,8 +560,18 @@ class TestPersistence:
         save_model(model, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").frame_length == 77
         sidecar = json.loads((tmp_path / "m.bin.json").read_text())
-        assert sidecar["format_version"] == 2
+        assert sidecar["format_version"] == 3
         assert sidecar["frame_length"] == 77
+
+    def test_round_trip_keeps_geometry(self, tmp_path):
+        geometry = FrameGeometry(pre_pad=40, post_pad=35, sensitivity=(0.5, 0.6, 0.7, 0.8), smooth_window=3)
+        model = ClassifierModel.initialize("gru", seed=1, hidden_size=3, dense_sizes=(4,), geometry=geometry)
+        save_model(model, tmp_path / "m.bin")
+        assert load_model(tmp_path / "m.bin").geometry == geometry
+        sidecar = json.loads((tmp_path / "m.bin.json").read_text())
+        assert {k: sidecar[k] for k in ("pre_pad", "post_pad", "sensitivity", "smooth_window")} == {
+            "pre_pad": 40, "post_pad": 35, "sensitivity": [0.5, 0.6, 0.7, 0.8], "smooth_window": 3,
+        }
 
     def test_prediction_survives_round_trip(self, tmp_path):
         model = _toy(seed=10, classes=10, dense=(8,))
@@ -586,9 +607,10 @@ class TestPersistence:
         [
             (b"CAPM" + struct.pack("<5I", 2, 0, 4, 3, 2), "cut off"),  # ends before frame_length
             (b"CAPM" + struct.pack("<6I", 2, 0, 4, 3, 2, 128), "cut off"),  # ends before dense count
-            (b"CAPM" + struct.pack("<8I", 3, 0, 4, 3, 2, 128, 1, 4), "unsupported format version 3"),
+            (b"CAPM" + struct.pack("<8I", 3, 0, 4, 3, 2, 128, 1, 4), "cut off"),  # ends in the geometry
+            (b"CAPM" + struct.pack("<8I", 4, 0, 4, 3, 2, 128, 1, 4), "unsupported format version 4"),
         ],
-        ids=["v2-before-frame-length", "v2-before-dense-count", "v3"],
+        ids=["v2-before-frame-length", "v2-before-dense-count", "v3-in-geometry", "v4"],
     )
     def test_v2_header_faults_rejected(self, tmp_path, data, message):
         path = tmp_path / "m.bin"
@@ -606,13 +628,34 @@ class TestPersistence:
         with pytest.raises(ModelError, match="frame_length must be >= 1"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (28, struct.pack("<I", 0), "pre_pad must be > 0"),
+            (36, struct.pack("<I", 0), "smooth_window must be >= 1"),
+            (40, struct.pack("<d", float("nan")), "sensitivity must lie in"),
+        ],
+        ids=["pre-pad-0", "smooth-window-0", "sensitivity-nan"],
+    )
+    def test_v3_bad_geometry_rejected(self, tmp_path, offset, value, message):
+        model = ClassifierModel.initialize("gru", seed=1, hidden_size=3, dense_sizes=(4,), n_classes=2)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelError, match=message):
+            load_model(path)
+
     def test_reads_v1_layout(self, tmp_path):
-        # Oracle: the CAPM v1 and v2 layouts packed by hand. v1 header:
+        # Oracle: the CAPM v1, v2 and v3 layouts packed by hand. v1 header:
         # magic, version, cell code, input_dim, hidden, n_classes, dense
-        # count, dense sizes (all <u4); v2 adds frame_length after n_classes.
-        # Then every parameter as row-major <f8, gates in i f g o order, then
-        # the dense layers. A v1 file reads as frame_length 256 and saves
-        # back as v2.
+        # count, dense sizes (all <u4); v2 adds frame_length after n_classes;
+        # v3 adds pre_pad, post_pad, smooth_window (<u4) and four <f8
+        # sensitivities after frame_length. Then every parameter as
+        # row-major <f8, gates in i f g o order, then the dense layers. A v1
+        # file reads as frame_length 256 with the default geometry and
+        # saves back as v3.
         model = _toy(cell="lstm", seed=8, hidden=3, dense=(5, 2), classes=4)
         order = [f"{k}_{g}" for g in "ifgo" for k in "WUb"]
         order += [f"D{layer}_{k}" for layer in range(3) for k in "Wb"]
@@ -621,9 +664,50 @@ class TestPersistence:
         path.write_bytes(struct.pack("<4s8I", b"CAPM", 1, 1, 4, 3, 4, 2, 5, 2) + params)
         loaded = load_model(path)
         assert loaded.frame_length == 256
+        assert loaded.geometry == FrameGeometry()
         assert sorted(loaded.params) == sorted(order)
         for name in order:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         save_model(loaded, tmp_path / "again.bin")
-        v2 = struct.pack("<4s9I", b"CAPM", 2, 1, 4, 3, 4, 256, 2, 5, 2) + params
-        assert (tmp_path / "again.bin").read_bytes() == v2
+        v3 = (struct.pack("<4s9I4d", b"CAPM", 3, 1, 4, 3, 4, 256, 70, 70, 5, 0.5, 0.5, 0.5, 0.5)
+              + struct.pack("<3I", 2, 5, 2) + params)
+        assert (tmp_path / "again.bin").read_bytes() == v3
+
+    def test_reads_v2_layout_with_the_default_geometry(self, tmp_path):
+        model = _toy(cell="gru", seed=8, hidden=3, dense=(5,), classes=4)
+        order = [f"{k}_{g}" for g in "zrn" for k in "WUb"]
+        order += [f"D{layer}_{k}" for layer in range(2) for k in "Wb"]
+        params = b"".join(model.params[name].astype("<f8").tobytes() for name in order)
+        path = tmp_path / "v2.bin"
+        path.write_bytes(struct.pack("<4s8I", b"CAPM", 2, 0, 4, 3, 4, 96, 1, 5) + params)
+        loaded = load_model(path)
+        assert (loaded.frame_length, loaded.geometry) == (96, FrameGeometry())
+        for name in order:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
+
+
+class TestFrameGeometry:
+    def test_defaults_are_the_config_defaults(self):
+        assert FrameGeometry.of(DspConfig(), DetectorConfig()) == FrameGeometry()
+        assert FrameGeometry().configs() == (DspConfig(), DetectorConfig())
+
+    def test_configs_cut_frames_as_recorded(self):
+        geometry = FrameGeometry(pre_pad=40, post_pad=35, sensitivity=(0.5, 0.6, 0.7, 0.8), smooth_window=3)
+        assert FrameGeometry.of(*geometry.configs()) == geometry
+
+    def test_only_frame_shaping_settings_are_checked(self):
+        FrameGeometry().check(DspConfig(), DetectorConfig(phi=30.0, init_period=100, update_period=200))
+
+    def test_mismatch_names_every_differing_setting(self):
+        geometry = FrameGeometry(post_pad=35, smooth_window=3)
+        with pytest.raises(ConfigError, match=r"post_pad 70 \(model: 35\), smooth_window 5 \(model: 3\)"):
+            geometry.check(DspConfig(), DetectorConfig())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"pre_pad": 0}, {"post_pad": -1}, {"smooth_window": 0}, {"sensitivity": (0.5, 0.5, 0.5)},
+         {"sensitivity": (0.5, 0.5, 0.5, 1.5)}],
+    )
+    def test_invalid_geometry_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            FrameGeometry(**kwargs)

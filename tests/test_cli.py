@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from capstream.classifier import evaluate, load_model
+from capstream.classifier import (
+    ClassifierModel,
+    FrameGeometry,
+    evaluate,
+    frame_to_tensor,
+    load_model,
+    save_model,
+)
 from capstream.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
 from capstream.dataset import dataset_tensors
+from capstream.detector import DetectorConfig, run_detector
 from capstream.simulate import generate_gesture
 from capstream.storage import (
     labels_path_for,
@@ -31,19 +40,20 @@ def session_dir(tmp_path_factory):
     return out
 
 
-_DETECTION_DESTS = {
-    "config",
+# The tuning dests that set a model's frame geometry, and those that decide
+# only which spans become frames.
+_GEOMETRY_DESTS = {"detector_pre_pad", "detector_post_pad", "dsp_sensitivity", "dsp_smooth_window"}
+_SPAN_DESTS = {
     "detector_phi",
     "detector_update_period",
-    "detector_pre_pad",
-    "detector_post_pad",
     "detector_safety_period",
     "detector_init_period",
     "detector_warmup_period",
     "detector_max_crossing_window",
-    "dsp_sensitivity",
-    "dsp_smooth_window",
 }
+_GEOMETRY_FLAGS = ["--pre-pad", "--post-pad", "--sensitivity", "--smooth-window"]
+_SPAN_FLAGS = ["--phi", "--update-period", "--safety-period", "--init-period",
+               "--warmup-period", "--max-crossing-window"]
 
 # Every option dest, positionals included, that each subcommand accepts: the
 # ones its handler reads and no others.
@@ -51,12 +61,12 @@ _ACCEPTED_DESTS = {
     "simulate": {"seed", "mode", "classes", "per_class", "rate", "idle_seconds", "out"},
     "process": {"recording", "out", "config", "dsp_sensitivity", "dsp_smooth_window"},
     "fft": {"recording", "channel", "rate", "bands", "out"},
-    "detect": {"recording", "out_dir"} | _DETECTION_DESTS,
+    "detect": {"recording", "out_dir", "config"} | _GEOMETRY_DESTS | _SPAN_DESTS,
     "train": {"seed", "data", "cell", "out", "epochs", "batch_size", "learning_rate", "hidden",
-              "frame_length"} | _DETECTION_DESTS,
-    "eval": {"model", "data", "csv_out"} | _DETECTION_DESTS,
+              "frame_length", "config"} | _GEOMETRY_DESTS,
+    "eval": {"model", "data", "csv_out"},
     "eval-detect": {"frames", "labels", "iou_min", "csv_out"},
-    "run": {"source", "model", "socket", "no_socket", "unpaced", "rate", "log"} | _DETECTION_DESTS,
+    "run": {"source", "model", "socket", "no_socket", "unpaced", "rate", "log", "config"} | _SPAN_DESTS,
     "consume": {"listen", "max_messages"},
 }
 
@@ -69,7 +79,7 @@ class TestInterface:
             for name, sub in subparsers.choices.items()
         }
         assert {name: set(dests) for name, dests in accepted.items()} == _ACCEPTED_DESTS
-        assert sum(len(dests) for dests in accepted.values()) == 88
+        assert sum(len(dests) for dests in accepted.values()) == 67
 
     @pytest.mark.parametrize(
         "argv",
@@ -92,6 +102,14 @@ class TestInterface:
             ["run", "--source", "file:rec.csv", "--model", "m.bin", "--frame-length", "64"],
             ["run", "--source", "file:rec.csv", "--model", "m.bin", "--lpf-cutoff", "10"],
             ["consume", "--config", "nope.cfg"],
+            # The model file sets the frame geometry: eval takes no tuning
+            # flag, run no geometry flag, and train no flag that leaves its
+            # frames alone.
+            *(["eval", "--model", "m.bin", "--data", "data", flag, "1"]
+              for flag in ["--config", *_SPAN_FLAGS, *_GEOMETRY_FLAGS]),
+            *(["train", "--data", "data", "--out", "m.bin", flag, "1"] for flag in _SPAN_FLAGS),
+            *(["run", "--source", "file:rec.csv", "--model", "m.bin", flag, "1"]
+              for flag in _GEOMETRY_FLAGS),
         ],
         ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a.startswith("--")][-1:]),
     )
@@ -109,6 +127,23 @@ class TestInterface:
                      "--no-socket", "--rate", rate])
         assert code == EXIT_CONFIG
         assert "sampling_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["consume", "--listen", "127.0.0.1:99999"],
+            ["run", "--source", "file:rec.csv", "--model", "m.bin", "--socket", "127.0.0.1:99999"],
+            ["run", "--source", "live:127.0.0.1:99999", "--model", "m.bin", "--no-socket"],
+        ],
+        ids=["consume-listen", "run-socket", "run-live-source"],
+    )
+    def test_port_above_65535_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "port" in err and "99999" in err
 
 
 class TestDocs:
@@ -168,6 +203,28 @@ class TestSimulate:
         assert code == EXIT_OK
         stream = load_recording(out / "idle.csv")
         assert len(stream) == 530
+
+    @pytest.mark.parametrize(
+        "args, setting",
+        [
+            (["--rate", "nan"], "sampling_rate"),
+            (["--rate", "inf"], "sampling_rate"),
+            (["--rate", "0"], "sampling_rate"),
+            (["--mode", "session", "--rate", "nan"], "sampling_rate"),
+            (["--mode", "idle", "--rate", "inf"], "sampling_rate"),
+            (["--mode", "idle", "--idle-seconds", "nan"], "--idle-seconds"),
+            (["--mode", "idle", "--idle-seconds", "0"], "--idle-seconds"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_rate_or_idle_length_is_one_line_config_error(self, tmp_path, capsys, args, setting):
+        out = tmp_path / "out"
+        code = main(["simulate", *args, "--classes", "2", "--per-class", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert setting in err
+        assert not out.exists()
 
 
 class TestDetect:
@@ -496,3 +553,81 @@ class TestTrainEval:
         accuracy = evaluate(model, tensors, labels).accuracy
         rows = list(csv.reader((tmp_path / "metrics.csv").open()))
         assert rows[-1] == ["accuracy", f"{accuracy:.6f}", "", ""]
+
+
+@pytest.fixture
+def model_at_post_pad_35(tmp_path):
+    # Untrained: these tests check how frames are cut, not accuracy. On the
+    # seed-13 dataset, seed 3's predictions differ between pads 35 and 70.
+    model = ClassifierModel.initialize("gru", seed=3, geometry=FrameGeometry(post_pad=35))
+    path = tmp_path / "m35.bin"
+    save_model(model, path)
+    return model, path
+
+
+class TestModelGeometry:
+    def test_train_records_the_geometry_of_its_frames(self, tmp_path):
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "dataset", "--classes", "3", "--per-class", "4",
+              "--seed", "13", "--out", str(data)])
+        model_path = tmp_path / "model.bin"
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--epochs", "1",
+                     "--post-pad", "35", "--sensitivity", "0.6"]) == EXIT_OK
+        expected = FrameGeometry(post_pad=35, sensitivity=(0.6,) * 4)
+        assert load_model(model_path).geometry == expected
+        sidecar = json.loads(Path(str(model_path) + ".json").read_text())
+        assert (sidecar["post_pad"], sidecar["sensitivity"]) == (35, [0.6] * 4)
+
+    def test_eval_cuts_frames_with_the_model_geometry(self, tmp_path, model_at_post_pad_35):
+        model, model_path = model_at_post_pad_35
+        data = tmp_path / "data"
+        main(["simulate", "--mode", "dataset", "--classes", "3", "--per-class", "4",
+              "--seed", "13", "--out", str(data)])
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--model", str(model_path), "--data", str(data),
+                     "--csv-out", str(out)]) == EXIT_OK
+        recs = load_dataset(data)
+
+        def summary(post_pad):
+            tensors, labels = dataset_tensors(recs, det_cfg=DetectorConfig(post_pad=post_pad))
+            rep = evaluate(model, tensors, labels)
+            return [["macro", f"{rep.macro_precision:.6f}", f"{rep.macro_recall:.6f}",
+                     f"{rep.macro_f1:.6f}"], ["accuracy", f"{rep.accuracy:.6f}", "", ""]]
+
+        assert summary(35) != summary(70)
+        assert list(csv.reader(out.open()))[-2:] == summary(35)
+
+    def test_run_cuts_frames_with_the_model_geometry(self, session_dir, tmp_path, model_at_post_pad_35):
+        model, model_path = model_at_post_pad_35
+        recording = session_dir / "session.csv"
+        log = tmp_path / "run.ndjson"
+        assert main(["run", "--source", f"file:{recording}", "--model", str(model_path),
+                     "--no-socket", "--unpaced", "--log", str(log)]) == EXIT_OK
+        messages = [json.loads(line) for line in log.read_text().splitlines()]
+        stream = load_recording(recording)
+
+        def stamps(post_pad):
+            frames = run_detector(stream, det_cfg=DetectorConfig(post_pad=post_pad))
+            return frames, [(f.k, int(round(f.end / stream.sampling_rate * 1000.0))) for f in frames]
+
+        frames, expected = stamps(35)
+        assert expected != stamps(70)[1]
+        assert [(m["frame_index"], m["timestamp_ms"]) for m in messages] == expected
+        for msg, frame in zip(messages, frames):
+            pred = model.predict(frame_to_tensor(frame, model.frame_length))
+            assert (msg["class_id"], msg["probability"]) == (pred.class_id, float(pred.probabilities.max()))
+
+    def test_run_config_geometry_key_that_disagrees_exits_2(self, session_dir, tmp_path, capsys,
+                                                            model_at_post_pad_35):
+        _, model_path = model_at_post_pad_35
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("detector.phi=20\ndetector.post_pad=70\n")
+        log = tmp_path / "run.ndjson"
+        code = main(["run", "--source", f"file:{session_dir / 'session.csv'}", "--model",
+                     str(model_path), "--no-socket", "--unpaced", "--config", str(cfg),
+                     "--log", str(log)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "post_pad 70" in err and "35" in err
+        assert not log.exists()

@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from capstream.classifier import ClassifierModel, frame_to_tensor
-from capstream.detector import AdaptiveThresholdDetector, run_detector
+from capstream.classifier import ClassifierModel, FrameGeometry, frame_to_tensor
+from capstream.detector import AdaptiveThresholdDetector, DetectorConfig, run_detector
 from capstream.dsp import StreamingConditioner
-from capstream.errors import InvalidParameterError, OrderingError
+from capstream.errors import ConfigError, InvalidParameterError, OrderingError
 from capstream.protocol import COMMANDS, encode_message
 from capstream.runtime import (
     FileReplaySource,
@@ -143,6 +143,20 @@ class TestPipeline:
         for msg, frame in zip(result.messages, frames):
             pred = model.predict(frame_to_tensor(frame, 256))
             assert (msg.class_id, msg.probability) == (pred.class_id, float(pred.probabilities.max()))
+
+    def test_config_must_cut_frames_as_the_model_geometry(self, short_session, tmp_path):
+        model = ClassifierModel.initialize("gru", seed=0, geometry=FrameGeometry(post_pad=35))
+        src = FileReplaySource.from_stream(short_session.stream, pacing="unpaced")
+        log_path = tmp_path / "messages.ndjson"
+        with pytest.raises(ConfigError, match=r"post_pad 70 \(model: 35\)"):
+            run_pipeline(src, PipelineConfig(log_path=log_path), model)
+        assert not log_path.exists()
+        det_cfg = DetectorConfig(post_pad=35)
+        result = run_pipeline(src, PipelineConfig(detector=det_cfg), model)
+        frames = run_detector(short_session.stream, det_cfg=det_cfg)
+        assert [(m.frame_index, m.timestamp_ms) for m in result.messages] == [
+            (f.k, int(round(f.end / 53.0 * 1000.0))) for f in frames
+        ]
 
     def test_messages_logged_even_without_socket_peer(self, short_session, plumbing_model, tmp_path):
         log_path = tmp_path / "messages.ndjson"

@@ -202,3 +202,18 @@ class TestSession:
         b = generate_session(3, 1, params, sampling_rate=53.0)
         np.testing.assert_array_equal(a.stream.values, b.stream.values)
         assert a.events == b.events
+
+
+@pytest.mark.parametrize("rate", [0.0, -53.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda params, rate: generate_gesture(1, 1, params, sampling_rate=rate),
+        lambda params, rate: generate_dataset(1, 1, params, sampling_rate=rate),
+        lambda params, rate: generate_session(1, 1, params, sampling_rate=rate),
+    ],
+    ids=["gesture", "dataset", "session"],
+)
+def test_generators_reject_a_bad_sampling_rate(params, generate, rate):
+    with pytest.raises(InvalidParameterError, match="sampling_rate"):
+        generate(params, rate)
