@@ -3,10 +3,10 @@
 
 Runs capstream.cli.main through simulate (dataset, session and idle modes),
 process (to a file and to stdout), fft, detect, eval-detect, a 2-epoch
-train at 256 steps per frame, eval and an unpaced run without a socket, and
-a second train, eval and run chain whose model is trained at post_pad 35,
-so that eval and run must cut frames with the model's geometry; all write
-under OUT_DIR.
+train at 256 steps per frame, eval and an unpaced run without a socket, a
+second train, eval and run chain whose model is trained at post_pad 35 and
+the default frame length, so that eval and run must cut frames with the
+model's geometry, and a third at 128 steps; all write under OUT_DIR.
 The standard output of each command is kept as <step>.stdout, except for
 run, whose summary line reports a wall-clock latency. Prints one
 "sha256  name" line per file, sorted by name, so that two source trees can
@@ -48,6 +48,10 @@ STEPS = (
     ("eval-post-pad-35", "eval --model gru35.bin --data data --csv-out eval35.csv", True),
     ("run-post-pad-35",
      "run --source file:sess/session.csv --model gru35.bin --no-socket --unpaced --log run35.ndjson", False),
+    ("train-128", "train --data data --epochs 2 --seed 1 --frame-length 128 --out gru128.bin", True),
+    ("eval-128", "eval --model gru128.bin --data data --csv-out eval128.csv", True),
+    ("run-128", "run --source file:sess/session.csv --model gru128.bin --no-socket --unpaced --log run128.ndjson",
+     False),
 )
 
 

@@ -40,7 +40,14 @@ from .errors import (
     ProtocolError,
     TrainingDivergedError,
 )
-from .metrics import DetectionReport, ExtractionReport, detection_rate, extraction_rate
+from .metrics import (
+    CommandScore,
+    DetectionReport,
+    ExtractionReport,
+    command_score,
+    detection_rate,
+    extraction_rate,
+)
 from .protocol import (
     COMMANDS,
     GESTURE_LABELS,

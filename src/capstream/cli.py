@@ -379,18 +379,18 @@ def _cmd_eval_detect(args, file_cfg) -> int:
 def _cmd_run(args, file_cfg) -> int:
     pacing = "unpaced" if args.unpaced else "realtime"
     socket_addr = None if args.no_socket else _parse_endpoint(args.socket)
-    if args.source.startswith("live:"):
+    live = args.source.startswith("live:")
+    if live:
         host, port = _parse_endpoint(args.source[5:])
         # Checked before connecting: a bad rate exits 2 without opening a connection.
         rate = validate_sampling_rate(53.0 if args.rate is None else args.rate)
-        conn = socket_module.create_connection((host, port))
-        source = runtime.LiveByteSource(conn.makefile("rb"), sampling_rate=rate)
     else:
         path = args.source.removeprefix("file:")
         source = runtime.FileReplaySource(path, sampling_rate=args.rate, pacing=pacing)
     model = classifier.load_model(args.model)
     # Frames are cut with the model's geometry; a --config geometry key that
-    # disagrees with it makes run_pipeline raise.
+    # disagrees with it fails run_pipeline's check, made here before a live
+    # source connects.
     dsp_cfg, det_cfg = model.geometry.configs()
     cfg = runtime.PipelineConfig(
         dsp=_dsp_config(args, file_cfg, dsp_cfg),
@@ -398,7 +398,12 @@ def _cmd_run(args, file_cfg) -> int:
         socket_addr=socket_addr,
         log_path=args.log,
     )
-    result = runtime.run_pipeline(source, cfg, model)
+    model.geometry.check(cfg.dsp, cfg.detector)
+    if live:
+        with socket_module.create_connection((host, port)) as conn, conn.makefile("rb") as reader:
+            result = runtime.run_pipeline(runtime.LiveByteSource(reader, sampling_rate=rate), cfg, model)
+    else:
+        result = runtime.run_pipeline(source, cfg, model)
     print(
         f"{result.samples} samples, {result.frames} frames, "
         f"{len(result.messages)} messages, max latency {result.max_latency_ms:.1f} ms"

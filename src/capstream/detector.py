@@ -9,6 +9,7 @@ multi-channel frame.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ from .errors import (
 from .signals import NUM_SENSORS, ProcessedStream, RawStream
 
 log = logging.getLogger(__name__)
+
+# The largest period DetectorConfig accepts, in samples (5.5 h at 53 Hz). The
+# detector's history ring spans several periods, so a larger one would ask
+# for gigabytes before the first sample.
+MAX_PERIOD = 2**20
 
 @dataclass
 class DetectorConfig:
@@ -59,10 +65,11 @@ class DetectorConfig:
             "warmup_period",
             "max_crossing_window",
         ):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be > 0")
-        if self.phi <= 0:
-            raise InvalidParameterError("phi must be > 0")
+            value = getattr(self, name)
+            if not 0 < value <= MAX_PERIOD:
+                raise InvalidParameterError(f"{name} must be > 0 and <= {MAX_PERIOD}, got {value}")
+        if not 0 < self.phi < math.inf:
+            raise InvalidParameterError(f"phi must be finite and > 0, got {self.phi}")
 
     @property
     def capacity(self) -> int:

@@ -43,6 +43,20 @@ class ExtractionReport:
     iou_values: list[float] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class CommandScore:
+    """Classified messages scored against ground truth.
+
+    correct counts messages whose frame matches an event of the message's
+    class, unmatched the messages whose frame matches no event, and missed
+    the events that no message names.
+    """
+
+    correct: int
+    unmatched: int
+    missed: int
+
+
 def _length(start: int, end: int) -> int:
     return end - start + 1
 
@@ -120,6 +134,31 @@ def detection_rate(frames: Sequence, events: Sequence) -> DetectionReport:
         detection_rate=detected / total if total else 0.0,
         matches=matches,
     )
+
+
+def command_score(messages: Sequence, frames: Sequence, events: Sequence) -> CommandScore:
+    """Score messages through the frames that carried them.
+
+    frames are the detector's frames of the stream the messages came from; a
+    message names its frame by the frame's k. Frames are matched to events
+    as detection_rate matches them.
+    """
+    frame_to_event = {
+        frames[m.frame_index].k: m.event_index
+        for m in _match(frames, events)
+        if m.frame_index is not None
+    }
+    correct = unmatched = 0
+    named: set[int] = set()
+    for msg in messages:
+        ei = frame_to_event.get(msg.frame_index)
+        if ei is None:
+            unmatched += 1
+            continue
+        named.add(ei)
+        if msg.class_id == events[ei].class_id:
+            correct += 1
+    return CommandScore(correct=correct, unmatched=unmatched, missed=len(events) - len(named))
 
 
 def extraction_rate(frames: Sequence, events: Sequence, iou_min: float = 0.8) -> ExtractionReport:

@@ -125,6 +125,6 @@ def decode_message(line: str | bytes) -> CommandMessage:
             probability=float(payload["probability"]),
             command=str(payload["command"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e999)
         raise ProtocolError(f"bad field value: {exc}") from None
 

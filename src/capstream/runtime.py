@@ -33,6 +33,10 @@ log = logging.getLogger(__name__)
 
 PACING_MODES = ("unpaced", "realtime")
 
+# Live sample indices stay below 2**53, so they are exact as float64 and the
+# detector's index arithmetic never nears the int64 limit.
+_MAX_INDEX = 2**53
+
 # After a connect cycle fails, how long the emitter leaves the socket alone.
 _RETRY_AFTER_S = 30.0
 
@@ -96,8 +100,8 @@ class LiveByteSource:
     """Parses ASCII lines ``index,v1,v2,v3,v4`` from a byte stream.
 
     This is the wire shape a microcontroller bridge writes; blank lines are
-    skipped, malformed lines and lines with a non-finite value (nan, inf) are
-    logged and dropped.
+    skipped, malformed lines, lines with a non-finite value (nan, inf) and
+    lines whose index lies outside 0 .. _MAX_INDEX - 1 are logged and dropped.
     """
 
     def __init__(self, reader: IO[bytes], sampling_rate: float = 53.0) -> None:
@@ -121,6 +125,9 @@ class LiveByteSource:
                 continue
             if not all(math.isfinite(v) for v in vals):
                 log.warning("live source: dropped non-finite line %r", raw[:60])
+                continue
+            if not 0 <= idx < _MAX_INDEX:
+                log.warning("live source: dropped line with index out of range %r", raw[:60])
                 continue
             yield idx, vals
 

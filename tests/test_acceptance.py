@@ -23,7 +23,7 @@ from capstream.classifier import (
 from capstream.dataset import dataset_tensors
 from capstream.detector import AdaptiveThresholdDetector, DetectorConfig, run_detector
 from capstream.dsp import DspConfig, StreamingConditioner, fft, sequential_difference, weighted_smoothed_difference
-from capstream.metrics import detection_rate, extraction_rate
+from capstream.metrics import command_score, detection_rate, extraction_rate
 from capstream.protocol import COMMANDS, GESTURE_LABELS
 from capstream.runtime import FileReplaySource, PipelineConfig, run_pipeline
 from capstream.signals import RawStream
@@ -276,19 +276,11 @@ def test_criterion_08_end_to_end_replay(trained_models):
     received = out["messages"]
 
     det_report = detection_rate(frames, rec.events)
-    frame_to_event = {
-        frames[m.frame_index].k: rec.events[m.event_index]
-        for m in det_report.matches
-        if m.frame_index is not None
-    }
-    correct = 0
-    commands_exact = True
-    for msg in received:
-        event = frame_to_event.get(msg.frame_index)
-        if event is not None and msg.class_id == event.class_id:
-            correct += 1
-        if msg.command != COMMANDS[msg.class_id] or msg.label != GESTURE_LABELS[msg.class_id]:
-            commands_exact = False
+    correct = command_score(received, frames, rec.events).correct
+    commands_exact = all(
+        msg.command == COMMANDS[msg.class_id] and msg.label == GESTURE_LABELS[msg.class_id]
+        for msg in received
+    )
     one_per_event = (
         len(received) == len(rec.events) == len(frames) == det_report.detected_events
     )
@@ -302,6 +294,29 @@ def test_criterion_08_end_to_end_replay(trained_models):
     assert one_per_event
     assert correct >= 0.9 * len(rec.events)
     assert commands_exact
+
+
+@pytest.mark.parametrize("cell, floor", [("gru", 0.97), ("lstm", 0.90)])
+def test_invariant_chain_score(benchmark300, trained_models, cell, floor):
+    # The shipped chain on the 300-gesture session: one message per event,
+    # each naming a frame that matches an event, and most of the right class.
+    rec, frames, _ = benchmark300
+    model, _, _ = trained_models[cell]
+    source = FileReplaySource.from_stream(rec.stream, pacing="unpaced")
+    result = run_pipeline(source, PipelineConfig(socket_addr=None), model)
+    score = command_score(result.messages, frames, rec.events)
+    ok = (len(result.messages) == len(rec.events) and score.unmatched == score.missed == 0
+          and score.correct >= floor * len(rec.events))
+    _report(
+        f"-- chain-score invariant ({cell})",
+        ok,
+        f"events={len(rec.events)}, messages={len(result.messages)}, correct={score.correct}, "
+        f"unmatched={score.unmatched}, missed={score.missed}, floor={floor}",
+    )
+    assert len(result.messages) == len(rec.events)
+    assert score.unmatched == 0
+    assert score.missed == 0
+    assert score.correct >= floor * len(rec.events)
 
 
 def test_criterion_09_weighted_difference_consistency():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -631,3 +632,25 @@ class TestModelGeometry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "post_pad 70" in err and "35" in err
         assert not log.exists()
+
+    @pytest.mark.parametrize("case", ["missing-model", "geometry-key-disagrees"])
+    def test_run_live_checks_the_model_before_connecting(self, tmp_path, capsys, model_at_post_pad_35,
+                                                         case):
+        _, model_path = model_at_post_pad_35
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("detector.post_pad=70\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            argv = ["run", "--source", f"live:127.0.0.1:{listener.getsockname()[1]}", "--no-socket"]
+            if case == "missing-model":
+                argv += ["--model", str(tmp_path / "absent.bin")]
+            else:
+                argv += ["--model", str(model_path), "--config", str(cfg)]
+            code = main(argv)
+            # A connect completes in the listen backlog even unaccepted, so
+            # accept() would return it at once.
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+        err = capsys.readouterr().err
+        assert code == (EXIT_IO if case == "missing-model" else EXIT_CONFIG)
+        assert err.startswith("error: ") and err.count("\n") == 1

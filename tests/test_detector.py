@@ -9,6 +9,7 @@ from capstream.dataset import truth_frames
 from capstream.detector import (
     AdaptiveThresholdDetector,
     DetectorConfig,
+    MAX_PERIOD,
     GestureFrame,
     detect_frames,
     initialize_offsets,
@@ -345,8 +346,13 @@ class TestDetectorConfig:
         assert cfg.capacity == 2 * (70 + 70 + 159 + 318)
 
     def test_invalid_values(self):
-        with pytest.raises(InvalidParameterError):
-            DetectorConfig(phi=0.0)
+        for kwargs in ({"phi": 0.0}, {"phi": float("nan")}, {"phi": float("inf")},
+                       {"post_pad": MAX_PERIOD + 1}, {"init_period": 10**20}):
+            with pytest.raises(InvalidParameterError):
+                DetectorConfig(**kwargs)
+
+    def test_largest_period_is_accepted(self):
+        assert DetectorConfig(update_period=MAX_PERIOD).update_period == MAX_PERIOD
 
     def test_frame_invariants(self):
         with pytest.raises(InvalidParameterError):

@@ -81,10 +81,21 @@ class TestSources:
         payload = (
             b"0,1.0,2.0,3.0,4.0\n\nnot,a,row\n1,5,6,7,8\n2,9,10,11,oops\n"
             b"3,nan,1,2,3\n4,1,inf,2,3\n5,1,2,-inf,3\n6,1,2,3,NaN\n"
+            b"-1,1,2,3,4\n9007199254740992,1,2,3,4\n"
         )
         src = LiveByteSource(io.BytesIO(payload))
         rows = list(src.rows())
         assert rows == [(0, (1.0, 2.0, 3.0, 4.0)), (1, (5.0, 6.0, 7.0, 8.0))]
+
+    def test_live_indices_near_the_int64_limit_are_dropped_not_an_index_error(self, session_10):
+        first = 2**63 - 500
+        payload = b"".join(
+            f"{first + i},{a!r},{b!r},{c!r},{d!r}\n".encode()
+            for i, (a, b, c, d) in enumerate(session_10.stream.values.T.tolist())
+        )
+        model = ClassifierModel.initialize("gru", seed=0, hidden_size=3, dense_sizes=(4,))
+        result = run_pipeline(LiveByteSource(io.BytesIO(payload)), PipelineConfig(), model)
+        assert (result.samples, result.messages) == (0, [])
 
     @pytest.mark.parametrize("rate", [0.0, -53.0, float("nan"), float("inf")])
     def test_live_byte_source_rejects_bad_rate(self, rate):
