@@ -6,20 +6,21 @@ learning rate 0.005, plain gradient descent. Prints per-model validation
 accuracy and writes model files next to --out-dir.
 
 With --sweep it writes no model: it trains both cells at every frame length
-and training seed given, and prints one row per run with the training time,
-the accuracy on a held-out dataset (seed 99, 30 per class) and the chain
-score, which replays the 300-gesture sessions of seeds 2024 and 7 through
-run_pipeline and scores the messages with metrics.command_score.
+in SWEEP_LENGTHS and training seed in SWEEP_SEEDS, one worker process per
+CPU, and prints one row per run with the training time, the accuracy on a
+held-out dataset (seed 99, 30 per class) and the chain score, which replays
+the 300-gesture sessions of seeds 2024 and 7 through run_pipeline and scores
+the messages with metrics.command_score.
 
 Usage:
     python scripts/train_classifiers.py --out-dir models/ [--per-class 100]
-    python scripts/train_classifiers.py --sweep [--lengths 32,48,64,96,128]
-        [--train-seeds 0,1,2] [--jobs 2]
+    python scripts/train_classifiers.py --sweep
 """
 from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -35,10 +36,8 @@ CELLS = ("gru", "lstm")
 HELD_OUT_SEED = 99
 CHAIN_SESSIONS = (2024, 7)
 PER_CLASS_HELD_OUT = 30
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+SWEEP_LENGTHS = (32, 48, 64, 96, 128)
+SWEEP_SEEDS = (0, 1, 2)
 
 
 def sweep_row(args, cell: str, length: int, train_seed: int) -> dict:
@@ -67,10 +66,11 @@ def sweep_row(args, cell: str, length: int, train_seed: int) -> dict:
 
 
 def run_sweep(args) -> None:
-    runs = [(cell, length, seed) for cell in CELLS for length in args.lengths for seed in args.train_seeds]
+    runs = [(cell, length, seed) for cell in CELLS for length in SWEEP_LENGTHS for seed in SWEEP_SEEDS]
     print("cell  T    seed  train_s  val_acc  held_out_acc  correct  unmatched  missed  events", flush=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # spawn, not fork: workers start from a fresh import.
-    with ProcessPoolExecutor(args.jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(cpus or 1, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [pool.submit(sweep_row, args, *run) for run in runs]
         rows = []
         for future in futures:
@@ -82,7 +82,7 @@ def run_sweep(args) -> None:
     print("\nsummed over seeds and sessions (mean accuracies, mean training time):")
     print("cell  T    train_s  held_out_acc  correct  unmatched  missed  events")
     for cell in CELLS:
-        for length in args.lengths:
+        for length in SWEEP_LENGTHS:
             group = [r for r in rows if r["cell"] == cell and r["T"] == length]
             n = len(group)
             print(f"{cell:<5} {length:<4} {sum(r['train_s'] for r in group) / n:7.1f}  "
@@ -99,9 +99,6 @@ def main() -> None:
     ap.add_argument("--epochs", type=int, default=60)
     ap.add_argument("--out-dir", default="models")
     ap.add_argument("--sweep", action="store_true", help="train and score every length and seed; write no model")
-    ap.add_argument("--lengths", type=_ints, default=(32, 48, 64, 96, 128))
-    ap.add_argument("--train-seeds", type=_ints, default=(0, 1, 2))
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for --sweep")
     args = ap.parse_args()
     if args.sweep:
         run_sweep(args)
