@@ -30,6 +30,10 @@ CELL_TYPES = ("gru", "lstm")
 # cells, with held-out accuracy within 0.01, at half the recurrent steps per
 # prediction; at 32 steps the GRU starts to miss.
 DEFAULT_FRAME_LENGTH = 64
+# The longest frame tensor accepted, in steps: 16x the longest any shipped
+# model was trained at, and small enough that resampling a frame to it
+# cannot exhaust memory, whatever a model header says.
+MAX_FRAME_LENGTH = 4096
 # The longest memory-gate time constant initialize() spreads, in steps. It
 # stays at the horizon the initialization was tuned at, whatever the frame
 # length, so a seed gives the same parameters at every length.
@@ -175,8 +179,8 @@ class ClassifierModel:
     ) -> None:
         if cell_type not in CELL_TYPES:
             raise ModelError(f"cell_type must be one of {CELL_TYPES}, got {cell_type!r}")
-        if frame_length < 1:
-            raise ModelError(f"frame_length must be >= 1, got {frame_length}")
+        if not 1 <= frame_length <= MAX_FRAME_LENGTH:
+            raise ModelError(f"frame_length must be >= 1 and <= {MAX_FRAME_LENGTH}, got {frame_length}")
         self.cell_type = cell_type
         self.params = params
         self.input_dim = input_dim
@@ -260,18 +264,6 @@ class ClassifierModel:
                 raise ModelError(f"parameter {name} has shape {got}, expected {shape}")
             if not np.all(np.isfinite(self.params[name])):
                 raise ModelError(f"parameter {name} contains non-finite values")
-
-    def copy(self) -> "ClassifierModel":
-        return ClassifierModel(
-            self.cell_type,
-            {k: v.copy() for k, v in self.params.items()},
-            self.input_dim,
-            self.hidden_size,
-            self.dense_sizes,
-            self.n_classes,
-            self.frame_length,
-            self.geometry,
-        )
 
     # ------------------------------------------------------------------
     # forward
@@ -695,8 +687,8 @@ def frame_to_tensor(frame: GestureFrame, length: int = DEFAULT_FRAME_LENGTH) -> 
     Linear resampling preserves the pulse ordering across channels; constant
     channels standardize to zeros via the sigma floor.
     """
-    if length < 1:
-        raise InvalidParameterError(f"frame length must be >= 1, got {length}")
+    if not 1 <= length <= MAX_FRAME_LENGTH:
+        raise InvalidParameterError(f"frame length must be >= 1 and <= {MAX_FRAME_LENGTH}, got {length}")
     if frame.channels is None or frame.channels.shape[1] == 0:
         raise InvalidParameterError("frame has no channel data")
     channels = np.asarray(frame.channels, dtype=np.float64)
@@ -998,6 +990,9 @@ def load_model(path: str | Path) -> ClassifierModel:
         block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         params[name] = block.reshape(shape).astype(np.float64)
-    return ClassifierModel(
-        cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes, frame_length, geometry
-    )
+    try:
+        return ClassifierModel(
+            cell_type, params, input_dim, hidden, tuple(dense_sizes), n_classes, frame_length, geometry
+        )
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None

@@ -161,20 +161,20 @@ class AdaptiveThresholdDetector:
         self._hist_rows = list(self._hist)  # per-sensor views, for step()
         self._j: int | None = None
         self._first_j: int | None = None
-        self._seen = 0
         self._initialized = False
 
         self._lam = [0.0] * NUM_SENSORS
         self._delta = [c.phi] * NUM_SENSORS
-        self._start = [0] * NUM_SENSORS
         self._end = [0] * NUM_SENSORS
+        # Nonzero while a detection is open; the start is derived at commit.
         self._upcross = [0] * NUM_SENSORS
         self._cnt = [0] * NUM_SENSORS
         self._isum = [0.0] * NUM_SENSORS
         self._icount = [0] * NUM_SENSORS
         self._prev = [0.0] * NUM_SENSORS
         self._recovering = [False] * NUM_SENSORS
-        self._frames: list[list[tuple[int, int]]] = [[] for _ in range(NUM_SENSORS)]
+        # (min start, max end) of the detections committed and not yet emitted.
+        self._span: tuple[int, int] | None = None
 
         self._k = 0
         self.diagnostics = {
@@ -203,12 +203,12 @@ class AdaptiveThresholdDetector:
         if j is None:
             return 0
         c = self.cfg
-        if self._frames[0] or self._frames[1] or self._frames[2] or self._frames[3]:
+        if self._span is not None:
             horizon = j + 1
         else:
             horizon = min([j + 1 + c.post_pad] + [end for end in self._end if end])
         for s in range(NUM_SENSORS):
-            if self._start[s] != 0:
+            if self._upcross[s] != 0:
                 close = min(
                     self._end[s] or j + 1 + c.post_pad,
                     j + 1 + c.safety_period - self._cnt[s],
@@ -251,12 +251,11 @@ class AdaptiveThresholdDetector:
         self._isum[s] = 0.0
         self._icount[s] = 0
 
-    def _absorb_init(self, last: int, m: int) -> None:
-        """Count m more buffered initialization columns, the last at index last."""
+    def _absorb_init(self, last: int) -> None:
+        """Take the buffered initialization columns up to index last."""
         c = self.cfg
         self._prev = self._hist[:, last % self._ring].tolist()
-        self._seen += m
-        if self._seen >= c.init_period:
+        if last - self._first_j + 1 >= c.init_period:
             cols = np.arange(self._first_j, self._first_j + c.init_period) % self._ring
             self._lam = initialize_offsets(self._hist[:, cols], c.init_period).tolist()
             self._delta = [c.phi] * NUM_SENSORS
@@ -268,15 +267,13 @@ class AdaptiveThresholdDetector:
         pos = j % self._ring
         if not self._initialized:
             self._hist[:, pos] = [float(values[s]) for s in range(NUM_SENSORS)]
-            self._absorb_init(j, 1)
+            self._absorb_init(j)
             return None
         hist, sample = self._hist_rows, self._sample
         for s in range(NUM_SENSORS):
             x = float(values[s])
             hist[s][pos] = x
             sample(s, j, x)
-        if j <= self.cfg.warmup_period:
-            return None
         return self._merge_and_emit(j)
 
     def _sample(self, s: int, j: int, x: float) -> bool:
@@ -292,7 +289,7 @@ class AdaptiveThresholdDetector:
         prev = self._prev[s] - lam
         self._prev[s] = x
         delta = self._delta[s]
-        frame_open = self._start[s] != 0 or self._end[s] != 0
+        frame_open = self._upcross[s] != 0
         changed = False
 
         if not frame_open:
@@ -305,12 +302,6 @@ class AdaptiveThresholdDetector:
                 self._recovering[s] = False
                 changed = True
         elif cur > delta and prev < delta:
-            start = j - c.pre_pad
-            if start < 1:
-                self.diagnostics["clamped_starts"] += 1
-                log.debug("sensor %d: start underflow at %d, clamped", s + 1, j)
-                start = 1
-            self._start[s] = start
             self._upcross[s] = j
         elif cur > delta:
             self._cnt[s] += 1
@@ -319,7 +310,6 @@ class AdaptiveThresholdDetector:
                 # off until offset/threshold re-stabilize.
                 self._update_threshold(s, j, 0.0)
                 self._cnt[s] = 0
-                self._start[s] = 0
                 self._end[s] = 0
                 self._upcross[s] = 0
                 self._recovering[s] = True
@@ -347,9 +337,15 @@ class AdaptiveThresholdDetector:
         if self._end[s] == j:
             # Commit only after warm-up; always clear so a detection
             # closing during warm-up cannot wedge the sensor open.
-            if j > c.warmup_period and self._start[s] != 0:
-                self._frames[s].append((self._start[s], self._end[s]))
-            self._start[s] = 0
+            if j > c.warmup_period:
+                start = self._upcross[s] - c.pre_pad
+                if start < self._first_j:
+                    self.diagnostics["clamped_starts"] += 1
+                    log.debug("sensor %d: start underflow at %d, clamped", s + 1, self._upcross[s])
+                    start = self._first_j
+                # Commits come in index order, so j is the span's largest end.
+                span = self._span
+                self._span = (start if span is None else min(span[0], start), j)
             self._end[s] = 0
             self._upcross[s] = 0
         return changed
@@ -361,7 +357,7 @@ class AdaptiveThresholdDetector:
         which is added up one sample at a time as step() would.
         """
         self._prev[s] = xs[hi - 1]
-        if self._start[s] == 0 and self._end[s] == 0:
+        if self._upcross[s] == 0:
             total = self._isum[s]
             for x in xs[lo:hi]:
                 total += x
@@ -409,8 +405,8 @@ class AdaptiveThresholdDetector:
         xs = x.tolist()
         pos = a
         if not self._initialized:
-            m = min(n, c.init_period - self._seen)
-            self._absorb_init(a + m - 1, m)
+            m = min(n, c.init_period - (a - self._first_j))
+            self._absorb_init(a + m - 1)
             pos += m
         done = [pos] * NUM_SENSORS  # per sensor, first index not yet applied
         ends = self._end
@@ -447,10 +443,9 @@ class AdaptiveThresholdDetector:
                         changed |= self._sample(s, j, xs[s][j - a])
                         changed |= ends[s] != end and j < ends[s] <= hi
                         done[s] = j + 1
-                if j > c.warmup_period:
-                    frame = self._merge_and_emit(j)
-                    if frame is not None:
-                        out.append(frame)
+                frame = self._merge_and_emit(j)
+                if frame is not None:
+                    out.append(frame)
                 if changed:
                     restart = j + 1
                     break
@@ -460,24 +455,16 @@ class AdaptiveThresholdDetector:
                 self._quiet(s, xs[s], done[s] - a, n)
 
     def _merge_and_emit(self, j: int) -> GestureFrame | None:
-        frames = self._frames
-        if not (frames[0] or frames[1] or frames[2] or frames[3]):
-            return None
         # Hold the merge while any sensor still has an open detection, so one
         # gesture yields one frame even though the channels close in sequence.
-        for s in range(NUM_SENSORS):
-            if self._start[s] != 0 or self._end[s] != 0:
-                return None
-        start = min(f[0] for fs in frames for f in fs)
-        end = max(f[1] for fs in frames for f in fs)
-        if end > j or start == 0 or end == 0:
+        if self._span is None or any(self._upcross):
             return None
+        start, end = self._span
         frame = GestureFrame(
             k=self._k + 1, start=start, end=end, channels=self._slice(start, end, j)
         )
         self._k += 1
-        for fs in frames:
-            fs.clear()
+        self._span = None
         return frame
 
     def _slice(self, start: int, end: int, j: int) -> np.ndarray:

@@ -11,7 +11,6 @@ stalling the read of every later message.
 from __future__ import annotations
 
 import logging
-import math
 import socket
 import threading
 import time
@@ -26,7 +25,7 @@ from .detector import AdaptiveThresholdDetector, DetectorConfig
 from .dsp import DspConfig, StreamingConditioner
 from .errors import InvalidParameterError
 from .protocol import CommandMessage, decode_message, encode_message, map_class_to_command
-from .signals import NUM_SENSORS, RawStream, validate_sampling_rate
+from .signals import MAX_SAMPLE_MAGNITUDE, NUM_SENSORS, RawStream, validate_sampling_rate
 from .storage import load_recording
 
 log = logging.getLogger(__name__)
@@ -100,8 +99,9 @@ class LiveByteSource:
     """Parses ASCII lines ``index,v1,v2,v3,v4`` from a byte stream.
 
     This is the wire shape a microcontroller bridge writes; blank lines are
-    skipped, malformed lines, lines with a non-finite value (nan, inf) and
-    lines whose index lies outside 0 .. _MAX_INDEX - 1 are logged and dropped.
+    skipped, malformed lines, lines with a value that is not finite or exceeds
+    MAX_SAMPLE_MAGNITUDE and lines whose index lies outside 0 .. _MAX_INDEX - 1
+    are logged and dropped.
     """
 
     def __init__(self, reader: IO[bytes], sampling_rate: float = 53.0) -> None:
@@ -123,8 +123,8 @@ class LiveByteSource:
             except ValueError:
                 log.warning("live source: dropped unparsable line %r", raw[:60])
                 continue
-            if not all(math.isfinite(v) for v in vals):
-                log.warning("live source: dropped non-finite line %r", raw[:60])
+            if not all(-MAX_SAMPLE_MAGNITUDE <= v <= MAX_SAMPLE_MAGNITUDE for v in vals):
+                log.warning("live source: dropped line with an out-of-range value %r", raw[:60])
                 continue
             if not 0 <= idx < _MAX_INDEX:
                 log.warning("live source: dropped line with index out of range %r", raw[:60])

@@ -17,6 +17,11 @@ NUM_SENSORS = 4
 _ROWS_CHUNK = 4096  # columns converted per step of RawStream.rows and the CSV writer
 SENSOR_IDS: tuple[int, int, int, int] = (1, 2, 3, 4)
 
+# The largest raw sample magnitude accepted, in volts. Readings lie within
+# 35-200 V; below this bound no window sum of the conditioner or the
+# detector can overflow. NaN and infinity lie outside it too.
+MAX_SAMPLE_MAGNITUDE = 1e12
+
 # A sensor id is a plain int in SENSOR_IDS.
 SensorId = int
 
@@ -51,8 +56,9 @@ class RawStream:
             raise InvalidParameterError(
                 f"values must have shape (4, n), got {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidParameterError("stream contains non-finite values")
+        v = self.values
+        if v.size and not -MAX_SAMPLE_MAGNITUDE <= v.min() <= v.max() <= MAX_SAMPLE_MAGNITUDE:
+            raise InvalidParameterError(f"stream holds a value not finite or exceeding {MAX_SAMPLE_MAGNITUDE:g} V")
 
     def __len__(self) -> int:
         return self.values.shape[1]

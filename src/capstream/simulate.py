@@ -188,20 +188,15 @@ def plan_trajectory(
         y = np.full(duration, xy[1])
         z_near = height if height is not None else rng.uniform(*VERTICAL_NEAR_RANGE)
         a = rng.uniform(*VERTICAL_FAST_FRACTION)
+        # The hand approaches until the turning point, then recedes: UP
+        # arrives fast and recedes slowly, DOWN the reverse.
+        turn = a if class_id == 3 else 1.0 - a
+        approach = t < turn
         z = np.empty(duration)
-        if class_id == 3:  # UP: fast arrival, slow recede
-            fast = t < a
-            z[fast] = VERTICAL_FAR + (z_near - VERTICAL_FAR) * _cosine_ease(t[fast] / a)
-            z[~fast] = z_near + (VERTICAL_FAR - z_near) * _cosine_ease(
-                (t[~fast] - a) / (1.0 - a)
-            )
-        else:  # DOWN: slow approach, fast retract
-            b = 1.0 - a
-            slow = t < b
-            z[slow] = VERTICAL_FAR + (z_near - VERTICAL_FAR) * _cosine_ease(t[slow] / b)
-            z[~slow] = z_near + (VERTICAL_FAR - z_near) * _cosine_ease(
-                (t[~slow] - b) / (1.0 - b)
-            )
+        z[approach] = VERTICAL_FAR + (z_near - VERTICAL_FAR) * _cosine_ease(t[approach] / turn)
+        z[~approach] = z_near + (VERTICAL_FAR - z_near) * _cosine_ease(
+            (t[~approach] - turn) / (1.0 - turn)
+        )
     else:
         entry, exit_ = _SWEEP_SIDES[class_id]
         p0 = _SIDE_UNIT[entry] * ANCHOR_RADIUS + rng.uniform(-0.03, 0.03, size=2)
@@ -253,15 +248,32 @@ def generate_idle(
     return RawStream(sampling_rate=sampling_rate, values=_idle_matrix(rng, length, params))
 
 
-def _label_span(amplitude: np.ndarray, threshold: float) -> tuple[int, int]:
-    """First/last sample where any channel's noiseless pulse reaches threshold."""
-    active = np.flatnonzero(amplitude.max(axis=0) >= threshold)
-    if active.size == 0:
-        raise InvalidParameterError(
-            "gesture pulse never reaches the labeling threshold; "
-            "check amplitude calibration"
-        )
-    return int(active[0]), int(active[-1])
+def _lay_gestures(
+    idle_seed: np.random.SeedSequence,
+    length: int,
+    gestures: list[tuple[GestureTrajectory, int]],
+    params: PhysicsParams,
+    sampling_rate: float,
+) -> LabeledRecording:
+    """Idle background with each (trajectory, onset) pulse added and labeled.
+
+    An event spans the first to the last sample where any channel's
+    noiseless pulse reaches the labeling threshold.
+    """
+    values = _idle_matrix(np.random.default_rng(idle_seed), length, params)
+    threshold = max(LABEL_THRESHOLD, params.idle_sigma)
+    events = []
+    for traj, onset in gestures:
+        values[:, onset : onset + traj.duration] += traj.amplitude
+        active = np.flatnonzero(traj.amplitude.max(axis=0) >= threshold)
+        if active.size == 0:
+            raise InvalidParameterError(
+                "gesture pulse never reaches the labeling threshold; check amplitude calibration"
+            )
+        events.append(GestureEvent(traj.class_id, onset + int(active[0]), onset + int(active[-1])))
+    return LabeledRecording(
+        stream=RawStream(sampling_rate=sampling_rate, values=values), events=events
+    )
 
 
 def generate_gesture(
@@ -326,7 +338,7 @@ def _generate_gesture_from_seq(
     pre_roll_seconds: float = 22.0,
     tail_seconds: float = 4.0,
 ) -> LabeledRecording:
-    """generate_gesture body driven by a SeedSequence (dataset/session plumbing)."""
+    """generate_gesture body driven by a SeedSequence, which generate_dataset spawns."""
     idle_seed, traj_seed, place_seed = seq.spawn(3)
     if trajectory is None:
         traj_rng = np.random.default_rng(traj_seed)
@@ -338,16 +350,7 @@ def _generate_gesture_from_seq(
         place_rng.uniform(0.0, 1.0) * sampling_rate
     )
     length = onset + trajectory.duration + int(round(tail_seconds * sampling_rate))
-    values = _idle_matrix(np.random.default_rng(idle_seed), length, params)
-    values[:, onset : onset + trajectory.duration] += trajectory.amplitude
-
-    threshold = max(LABEL_THRESHOLD, params.idle_sigma)
-    first, last = _label_span(trajectory.amplitude, threshold)
-    event = GestureEvent(class_id=class_id, start=onset + first, end=onset + last)
-    return LabeledRecording(
-        stream=RawStream(sampling_rate=sampling_rate, values=values),
-        events=[event],
-    )
+    return _lay_gestures(idle_seed, length, [(trajectory, onset)], params, sampling_rate)
 
 
 def generate_session(
@@ -377,29 +380,14 @@ def generate_session(
     class_order = np.repeat(np.asarray(classes, dtype=np.int64), n_per_class)
     order_rng.shuffle(class_order)
 
-    trajectories: list[GestureTrajectory] = []
-    onsets: list[int] = []
+    gestures: list[tuple[GestureTrajectory, int]] = []
     cursor = int(round(warmup_seconds * sampling_rate))
     for class_id, ev_seed in zip(class_order, event_seeds):
         rng = np.random.default_rng(ev_seed)
         duration = int(round(rng.uniform(*DURATION_RANGE_S) * sampling_rate))
-        traj = plan_trajectory(int(class_id), duration, rng, params)
-        trajectories.append(traj)
-        onsets.append(cursor)
+        gestures.append((plan_trajectory(int(class_id), duration, rng, params), cursor))
         gap = int(round(rng.uniform(*gap_seconds) * sampling_rate))
         cursor += duration + gap
 
     length = cursor + int(round(4.0 * sampling_rate))
-    values = _idle_matrix(np.random.default_rng(idle_seed), length, params)
-    threshold = max(LABEL_THRESHOLD, params.idle_sigma)
-    events: list[GestureEvent] = []
-    for traj, onset in zip(trajectories, onsets):
-        values[:, onset : onset + traj.duration] += traj.amplitude
-        first, last = _label_span(traj.amplitude, threshold)
-        events.append(
-            GestureEvent(class_id=traj.class_id, start=onset + first, end=onset + last)
-        )
-    return LabeledRecording(
-        stream=RawStream(sampling_rate=sampling_rate, values=values),
-        events=events,
-    )
+    return _lay_gestures(idle_seed, length, gestures, params, sampling_rate)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from capstream import classifier
 from capstream.classifier import (
     DEFAULT_FRAME_LENGTH,
+    MAX_FRAME_LENGTH,
     ClassifierModel,
     FrameGeometry,
     TrainConfig,
@@ -109,6 +111,11 @@ class TestFrameToTensor:
         frame = GestureFrame(k=1, start=0, end=10)
         with pytest.raises(InvalidParameterError):
             frame_to_tensor(frame)
+
+    def test_length_above_the_bound_rejected(self):
+        assert frame_to_tensor(_frame(100), length=MAX_FRAME_LENGTH).shape == (MAX_FRAME_LENGTH, 4)
+        with pytest.raises(InvalidParameterError, match="frame length must be"):
+            frame_to_tensor(_frame(100), length=MAX_FRAME_LENGTH + 1)
 
 
 class TestForward:
@@ -465,7 +472,6 @@ class TestTrain:
         tensors, labels = _toy_dataset(t=24)
         model, _ = train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,), n_classes=3)
         assert model.frame_length == 24
-        assert model.copy().frame_length == 24
         assert model.geometry == FrameGeometry()
 
     def test_model_records_the_geometry_it_is_given(self):
@@ -474,7 +480,6 @@ class TestTrain:
         model, _ = train(tensors, labels, TrainConfig(epochs=1), hidden_size=4, dense_sizes=(4,),
                          n_classes=3, geometry=geometry)
         assert model.geometry == geometry
-        assert model.copy().geometry == geometry
 
     def test_epoch_seconds_per_epoch(self):
         tensors, labels = _toy_dataset()
@@ -626,6 +631,18 @@ class TestPersistence:
         data[24:28] = struct.pack("<I", 0)  # frame_length
         path.write_bytes(bytes(data))
         with pytest.raises(ModelError, match="frame_length must be >= 1"):
+            load_model(path)
+
+    def test_frame_length_above_the_bound_rejected(self, tmp_path):
+        # Loaded, a frame_length of 2**32 - 1 would make the first predict
+        # resample each frame to 32 GiB.
+        path = tmp_path / "m.bin"
+        save_model(_toy(), path)
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", 2**32 - 1)  # frame_length
+        path.write_bytes(bytes(data))
+        message = f"{path}: frame_length must be >= 1 and <= {MAX_FRAME_LENGTH}"
+        with pytest.raises(ModelError, match=re.escape(message)):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -183,7 +183,15 @@ class TestStep:
         trace[0, 30:40] = 100.0
         frames = _drive(det, trace)
         assert det.diagnostics["clamped_starts"] == 1
-        assert frames and frames[0].start == 1
+        assert frames and frames[0].start == 0
+
+    def test_start_clamped_to_first_index_fed(self):
+        # A pre_pad longer than the lead-in clamps the start to the first
+        # conditioned index, as truth_frames does; index 1 was never fed.
+        rec = generate_session(2024, 1, sampling_rate=53.0)
+        det_cfg = DetectorConfig(pre_pad=1500)
+        frames = run_detector(rec.stream, det_cfg=det_cfg)
+        assert frames[0].start == truth_frames(rec, det_cfg=det_cfg)[0].start == 5
 
     def test_downward_without_upward_is_ignored(self):
         # The signal goes high inside the initialization window and falls

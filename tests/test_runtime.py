@@ -87,6 +87,20 @@ class TestSources:
         rows = list(src.rows())
         assert rows == [(0, (1.0, 2.0, 3.0, 4.0)), (1, (5.0, 6.0, 7.0, 8.0))]
 
+    def test_live_values_beyond_the_magnitude_bound_are_dropped(self, session_10, plumbing_model):
+        # 1e308 is finite, but the conditioner's window sums would overflow
+        # to inf on it. The dropped line leaves a gap, which ends a live run.
+        payload = b"0,1,2,3,4\n1,1e308,-1e308,1e308,-1e308\n2,1e12,-1e12,0,0\n"
+        rows = list(LiveByteSource(io.BytesIO(payload)).rows())
+        assert rows == [(0, (1.0, 2.0, 3.0, 4.0)), (2, (1e12, -1e12, 0.0, 0.0))]
+        lines = [
+            f"{i},{a!r},{b!r},{c!r},{d!r}\n".encode()
+            for i, (a, b, c, d) in enumerate(session_10.stream.values.T.tolist())
+        ]
+        lines[1200] = b"1200,1e308,-1e308,1e308,-1e308\n"
+        with pytest.raises(OrderingError, match="expected index 1200, got 1201"):
+            run_pipeline(LiveByteSource(io.BytesIO(b"".join(lines))), PipelineConfig(), plumbing_model)
+
     def test_live_indices_near_the_int64_limit_are_dropped_not_an_index_error(self, session_10):
         first = 2**63 - 500
         payload = b"".join(

@@ -5,6 +5,7 @@ import pytest
 
 from capstream.errors import InvalidParameterError
 from capstream.signals import (
+    MAX_SAMPLE_MAGNITUDE,
     NUM_SENSORS,
     SENSOR_IDS,
     GestureEvent,
@@ -45,6 +46,14 @@ class TestRawStream:
         values[1, 2] = np.nan
         with pytest.raises(InvalidParameterError):
             RawStream(sampling_rate=53.0, values=values)
+
+    def test_rejects_a_value_beyond_the_magnitude_bound(self):
+        values = np.zeros((4, 4))
+        values[2, 1] = -1e308  # finite, but window sums over it overflow
+        with pytest.raises(InvalidParameterError, match="exceeding"):
+            RawStream(sampling_rate=53.0, values=values)
+        values[2, 1] = -MAX_SAMPLE_MAGNITUDE
+        assert RawStream(sampling_rate=53.0, values=values).values[2, 1] == -1e12
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(InvalidParameterError):
